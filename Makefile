@@ -32,6 +32,14 @@ test:
 # includes the journal crash-recovery and cancel-vs-dispatch race tests, and
 # the ecocache/netlist suites cover the concurrent cache and content hashing
 # the ECO fast path keys on.
+#
+# The stress pass then repeats the tests that pin publish ordering 50 times
+# each, so an ordering race fails CI instead of passing on most runs: the
+# exact-hit and near-hit cache tests and the publish-order test (a job reads
+# done only after its counters, running gauge, and cache entry are
+# committed), and the coordinator test (a terminal fleet job never
+# regresses). The two cache tests run a full placement per repetition and
+# take several seconds each under -race, hence the longer timeout.
 race:
 	$(GO) test -race ./internal/service/... ./internal/placer/... \
 		./internal/checkpoint/... ./internal/density/... \
@@ -39,6 +47,10 @@ race:
 		./internal/obs/... ./internal/guard/... ./internal/faultinject/... \
 		./internal/fleet/... ./internal/chaos/... ./internal/ecocache/... \
 		./internal/netlist/... ./internal/trajclient/... ./internal/placertop/...
+	$(GO) test -race -count=50 -timeout=30m \
+		-run '^(TestCacheExactHitBitIdentical|TestCacheNearHitWarmStartsFromParent|TestDonePublishedAfterSideEffects)$$' \
+		./internal/service/
+	$(GO) test -race -count=50 -run '^TestTerminalJobNeverRegresses$$' ./internal/fleet/
 
 # fuzz-seeds replays the fuzz seed corpora as regular tests (regression
 # mode, no exploration) so `make check` keeps the known-hostile Bookshelf

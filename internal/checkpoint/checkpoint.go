@@ -60,8 +60,10 @@ type Fingerprint struct {
 	GridY      int
 	Workers    int
 	Model      string
-	Optimizer  string
-	Seed       int64
+	// Optimizer is always "nesterov" in current builds; snapshots from
+	// older builds that ran another optimizer fail to match on it.
+	Optimizer string
+	Seed      int64
 	// TargetDensity participates because it shapes fillers and overflow.
 	TargetDensity float64
 	// Region bounds guard against a same-named design with different die.

@@ -23,7 +23,6 @@ type ConfigFingerprint struct {
 	NoFillers     bool
 	Seed          int64
 	Init          string
-	Optimizer     string
 	Schedule      string
 	Precondition  bool
 	Workers       int
@@ -41,10 +40,10 @@ type ConfigFingerprint struct {
 // over an unambiguous textual rendering of every field).
 func (f ConfigFingerprint) Key() uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "m=%s|g=%dx%d|td=%x|it=%d|so=%x|g0=%x|t0=%x|dl=%x|nf=%t|s=%d|in=%s|op=%s|sc=%s|pc=%t|w=%d|go=%t|sd=%t|ut=%t|gd=%t|gr=%d",
+	fmt.Fprintf(h, "m=%s|g=%dx%d|td=%x|it=%d|so=%x|g0=%x|t0=%x|dl=%x|nf=%t|s=%d|in=%s|sc=%s|pc=%t|w=%d|go=%t|sd=%t|ut=%t|gd=%t|gr=%d",
 		f.Model, f.GridX, f.GridY, f.TargetDensity, f.MaxIters, f.StopOverflow,
-		f.Gamma0, f.T0, f.Delta, f.NoFillers, f.Seed, f.Init, f.Optimizer,
-		f.Schedule, f.Precondition, f.Workers, f.GPOnly, f.SkipDetailed, f.UseTetris,
+		f.Gamma0, f.T0, f.Delta, f.NoFillers, f.Seed, f.Init, f.Schedule,
+		f.Precondition, f.Workers, f.GPOnly, f.SkipDetailed, f.UseTetris,
 		f.Guard, f.GuardRetries)
 	return h.Sum64()
 }

@@ -21,15 +21,14 @@ type AblationVariant struct {
 //   - the paper's tangent t-schedule (Eq. 14) vs driving the Moreau model
 //     with the ePlace gamma schedule,
 //   - whitespace fillers on vs off,
-//   - Nesterov (ePlace) vs Adam vs plain momentum as the optimizer,
+//   - random-center vs quadratic initial placement, and Jacobi
+//     preconditioning on vs off,
 //   - the WA baseline under the identical engine, for reference.
 func AblationVariants() []AblationVariant {
 	return []AblationVariant{
 		{Name: "ME(default)", Model: "ME", Mutate: func(*core.FlowConfig) {}},
 		{Name: "ME+gammaSched", Model: "ME", Mutate: func(c *core.FlowConfig) { c.GP.Schedule = "gamma" }},
 		{Name: "ME-nofillers", Model: "ME", Mutate: func(c *core.FlowConfig) { c.GP.NoFillers = true }},
-		{Name: "ME+adam", Model: "ME", Mutate: func(c *core.FlowConfig) { c.GP.Optimizer = "adam" }},
-		{Name: "ME+momentum", Model: "ME", Mutate: func(c *core.FlowConfig) { c.GP.Optimizer = "momentum" }},
 		{Name: "ME+qinit", Model: "ME", Mutate: func(c *core.FlowConfig) { c.GP.Init = "quadratic" }},
 		{Name: "ME+precond", Model: "ME", Mutate: func(c *core.FlowConfig) { c.GP.Precondition = true }},
 		// The non-smooth baseline from the paper's introduction: optimize

@@ -194,7 +194,7 @@ func TestAblationTiny(t *testing.T) {
 		}
 	}
 	out := buf.String()
-	for _, want := range []string{"ME(default)", "ME+gammaSched", "ME+adam", "WA(reference)"} {
+	for _, want := range []string{"ME(default)", "ME+gammaSched", "ME+qinit", "WA(reference)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("ablation output missing %q", want)
 		}

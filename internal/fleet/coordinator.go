@@ -842,12 +842,18 @@ func (c *Coordinator) dropPendingLocked(j *fleetJob) {
 	}
 }
 
-// updateFromWorkerLocked folds a proxied worker view into the record.
+// updateFromWorkerLocked folds a proxied worker view into the record. Views
+// are fetched outside c.mu, so one can arrive after another path already
+// saw the job finish; a terminal job therefore ignores every later view and
+// never regresses.
 func (c *Coordinator) updateFromWorkerLocked(j *fleetJob, v service.JobView) {
+	if j.terminal {
+		return
+	}
 	vv := v
 	j.last = &vv
 	j.state = string(v.State)
-	if v.State.Terminal() && !j.terminal {
+	if v.State.Terminal() {
 		j.terminal = true
 		c.releaseLocked(j)
 		c.journalAppend(journalRecord{Kind: recTerminal, Job: j.id, State: j.state})
@@ -1132,7 +1138,12 @@ func (c *Coordinator) syncWorkers() {
 // within a class). Each job gets one assignment attempt per tick.
 func (c *Coordinator) dispatchPending() {
 	c.mu.Lock()
-	batch := c.pending
+	var batch []*fleetJob
+	for _, j := range c.pending {
+		if !j.terminal { // cancelled while pending
+			batch = append(batch, j)
+		}
+	}
 	c.pending = nil
 	c.mu.Unlock()
 	if len(batch) == 0 {
@@ -1141,9 +1152,6 @@ func (c *Coordinator) dispatchPending() {
 	sort.SliceStable(batch, func(a, b int) bool { return batch[a].class < batch[b].class })
 	var still []*fleetJob
 	for _, j := range batch {
-		if j.terminal { // cancelled while pending
-			continue
-		}
 		if !c.assign(j) {
 			still = append(still, j)
 		}

@@ -560,3 +560,80 @@ func TestCoordinatorTrajectoryProxy(t *testing.T) {
 		t.Fatalf("proxied trajectory = %d lines (first %q), want NDJSON points", len(lines), lines[0])
 	}
 }
+
+// TestTerminalJobNeverRegresses: a Get whose worker fetch is in flight while
+// a Tick observes the job finish must not fold its stale running view over
+// the terminal state. The fake worker parks the first GET /jobs/{id} after
+// capturing the job as running, the Tick's list reads it done, and only then
+// does the parked GET answer. Every later Get must read done.
+func TestTerminalJobNeverRegresses(t *testing.T) {
+	clock := newFakeClock()
+	c := newTestCoordinator(t, clock, nil)
+
+	var mu sync.Mutex
+	state := service.StateRunning
+	current := func() service.JobView {
+		mu.Lock()
+		defer mu.Unlock()
+		return service.JobView{ID: "rw-1", State: state}
+	}
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusAccepted)
+		json.NewEncoder(w).Encode(service.JobView{ID: "rw-1", State: service.StateQueued}) //nolint:errcheck
+	})
+	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		v := current()
+		once.Do(func() {
+			close(parked)
+			<-release
+		})
+		json.NewEncoder(w).Encode(v) //nolint:errcheck
+	})
+	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(map[string]any{"jobs": []service.JobView{current()}}) //nolint:errcheck
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	hb := Heartbeat{ID: "slow", URL: srv.URL, Stats: service.ManagerStats{PlaceWorkers: 1, QueueCap: 8}}
+	if err := c.RecordHeartbeat(hb, clock.Now()); err != nil {
+		t.Fatal(err)
+	}
+
+	v, _, err := c.Submit(fastSpec(1), "t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inflight := make(chan struct{})
+	go func() {
+		defer close(inflight)
+		c.Get(v.ID) //nolint:errcheck // the later Gets carry the assertion
+	}()
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Get never reached the worker")
+	}
+	mu.Lock()
+	state = service.StateDone
+	mu.Unlock()
+	c.Tick(clock.Now())
+	if got, err := c.Get(v.ID); err != nil || got.State != string(service.StateDone) {
+		t.Fatalf("after the tick: state %q (err %v), want done", got.State, err)
+	}
+	close(release)
+	<-inflight
+
+	for i := 0; i < 3; i++ {
+		got, err := c.Get(v.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.State != string(service.StateDone) {
+			t.Fatalf("Get %d after the stale fetch landed: state %q, want done", i, got.State)
+		}
+	}
+}

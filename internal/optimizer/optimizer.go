@@ -1,12 +1,12 @@
-// Package optimizer provides the first-order methods used by the global
-// placer: Nesterov's accelerated gradient with Barzilai-Borwein step-size
-// prediction (the ePlace optimizer), plus plain gradient descent with
-// momentum and Adam for ablation studies.
+// Package optimizer provides the global placer's first-order method:
+// Nesterov's accelerated gradient with Barzilai-Borwein step-size prediction
+// (the ePlace optimizer).
 //
-// Optimizers operate on a flat parameter vector; the placer packs movable
-// cell coordinates as [x0..xn-1, y0..yn-1]. The objective is a callback that
-// fills the gradient and returns the value. An optional projection callback
-// (e.g. clamping to the placement region) runs after every parameter update.
+// The optimizer operates on a flat parameter vector; the placer packs
+// movable cell coordinates as [x0..xn-1, y0..yn-1]. The objective is a
+// callback that fills the gradient and returns the value. An optional
+// projection callback (e.g. clamping to the placement region) runs after
+// every parameter update.
 package optimizer
 
 import "math"
@@ -17,33 +17,6 @@ type Evaluate func(pos, grad []float64) float64
 
 // Project restricts a parameter vector to the feasible set in place.
 type Project func(pos []float64)
-
-// Optimizer advances a parameter vector one iteration at a time.
-type Optimizer interface {
-	// Step performs one iteration and returns the objective value
-	// observed during the step.
-	Step(eval Evaluate) float64
-	// Pos returns the current (primary) iterate. The slice is owned by
-	// the optimizer; callers must copy if they mutate.
-	Pos() []float64
-}
-
-// StepSizer is implemented by optimizers that can report the step size used
-// by their most recent Step; observability layers record it as a convergence
-// diagnostic (the Barzilai-Borwein alpha for Nesterov, the fixed learning
-// rate for the baselines).
-type StepSizer interface {
-	LastStepSize() float64
-}
-
-// norm2 returns the Euclidean norm of x.
-func norm2(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
 
 // Nesterov is the ePlace flavour of Nesterov's accelerated gradient method.
 // The step size is predicted from the inverse local Lipschitz estimate
@@ -176,104 +149,4 @@ func (o *Nesterov) Step(eval Evaluate) float64 {
 	copy(o.v, o.vT)
 	o.a = aNext
 	return val
-}
-
-// Momentum is gradient descent with classical momentum, the simplest
-// baseline optimizer.
-type Momentum struct {
-	x, vel, g []float64
-	LR        float64
-	Beta      float64
-	project   Project
-}
-
-// NewMomentum creates a momentum optimizer starting at x0.
-func NewMomentum(x0 []float64, lr, beta float64, project Project) *Momentum {
-	return &Momentum{
-		x:       append([]float64(nil), x0...),
-		vel:     make([]float64, len(x0)),
-		g:       make([]float64, len(x0)),
-		LR:      lr,
-		Beta:    beta,
-		project: project,
-	}
-}
-
-// Pos returns the current iterate.
-func (o *Momentum) Pos() []float64 { return o.x }
-
-// LastStepSize returns the (fixed) learning rate.
-func (o *Momentum) LastStepSize() float64 { return o.LR }
-
-// Step performs one momentum update.
-func (o *Momentum) Step(eval Evaluate) float64 {
-	val := eval(o.x, o.g)
-	for i := range o.x {
-		o.vel[i] = o.Beta*o.vel[i] - o.LR*o.g[i]
-		o.x[i] += o.vel[i]
-	}
-	if o.project != nil {
-		o.project(o.x)
-	}
-	return val
-}
-
-// Adam is the Adam optimizer (Kingma & Ba) with bias correction.
-type Adam struct {
-	x, g, m, v2 []float64
-	LR          float64
-	Beta1       float64
-	Beta2       float64
-	Eps         float64
-	t           int
-	project     Project
-}
-
-// NewAdam creates an Adam optimizer starting at x0 with standard defaults
-// beta1=0.9, beta2=0.999, eps=1e-8.
-func NewAdam(x0 []float64, lr float64, project Project) *Adam {
-	return &Adam{
-		x:       append([]float64(nil), x0...),
-		g:       make([]float64, len(x0)),
-		m:       make([]float64, len(x0)),
-		v2:      make([]float64, len(x0)),
-		LR:      lr,
-		Beta1:   0.9,
-		Beta2:   0.999,
-		Eps:     1e-8,
-		project: project,
-	}
-}
-
-// Pos returns the current iterate.
-func (o *Adam) Pos() []float64 { return o.x }
-
-// LastStepSize returns the (fixed) base learning rate.
-func (o *Adam) LastStepSize() float64 { return o.LR }
-
-// Step performs one Adam update.
-func (o *Adam) Step(eval Evaluate) float64 {
-	val := eval(o.x, o.g)
-	o.t++
-	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
-	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
-	for i := range o.x {
-		o.m[i] = o.Beta1*o.m[i] + (1-o.Beta1)*o.g[i]
-		o.v2[i] = o.Beta2*o.v2[i] + (1-o.Beta2)*o.g[i]*o.g[i]
-		mh := o.m[i] / bc1
-		vh := o.v2[i] / bc2
-		o.x[i] -= o.LR * mh / (math.Sqrt(vh) + o.Eps)
-	}
-	if o.project != nil {
-		o.project(o.x)
-	}
-	return val
-}
-
-// GradNorm evaluates the objective once at the optimizer's current position
-// and returns the gradient norm; a convergence diagnostic.
-func GradNorm(o Optimizer, eval Evaluate) float64 {
-	g := make([]float64, len(o.Pos()))
-	eval(o.Pos(), g)
-	return norm2(g)
 }

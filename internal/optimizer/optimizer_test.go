@@ -59,52 +59,23 @@ func TestNesterovBeatsMomentumOnIllConditioned(t *testing.T) {
 	for k := 0; k < iters; k++ {
 		nes.Step(eval)
 	}
-	mom := NewMomentum(x0, 1e-4, 0.9, nil)
+	// Baseline: fixed-step gradient descent with classical momentum
+	// (lr 1e-4, beta 0.9).
+	mom := append([]float64(nil), x0...)
+	vel := make([]float64, n)
+	grad := make([]float64, n)
 	for k := 0; k < iters; k++ {
-		mom.Step(eval)
+		eval(mom, grad)
+		for i := range mom {
+			vel[i] = 0.9*vel[i] - 1e-4*grad[i]
+			mom[i] += vel[i]
+		}
 	}
 	g := make([]float64, n)
 	fNes := eval(nes.Pos(), g)
-	fMom := eval(mom.Pos(), g)
+	fMom := eval(mom, g)
 	if fNes >= fMom {
 		t.Errorf("Nesterov (%g) should beat fixed-LR momentum (%g) on ill-conditioned quadratic", fNes, fMom)
-	}
-}
-
-func TestAdamMinimizesQuadratic(t *testing.T) {
-	n := 10
-	c := make([]float64, n)
-	b := make([]float64, n)
-	x0 := make([]float64, n)
-	for i := range c {
-		c[i] = 1 + float64(i)
-		b[i] = float64(i) - 4
-		x0[i] = 10
-	}
-	o := NewAdam(x0, 0.2, nil)
-	eval := quadratic(c, b)
-	for k := 0; k < 2000; k++ {
-		o.Step(eval)
-	}
-	for i, v := range o.Pos() {
-		if math.Abs(v-b[i]) > 1e-2 {
-			t.Fatalf("adam x[%d] = %g, want %g", i, v, b[i])
-		}
-	}
-}
-
-func TestMomentumMinimizesQuadratic(t *testing.T) {
-	c := []float64{1, 2}
-	b := []float64{3, -1}
-	o := NewMomentum([]float64{0, 0}, 0.05, 0.8, nil)
-	eval := quadratic(c, b)
-	for k := 0; k < 500; k++ {
-		o.Step(eval)
-	}
-	for i, v := range o.Pos() {
-		if math.Abs(v-b[i]) > 1e-4 {
-			t.Fatalf("momentum x[%d] = %g, want %g", i, v, b[i])
-		}
 	}
 }
 
@@ -122,20 +93,15 @@ func TestProjectionKeepsIteratesFeasible(t *testing.T) {
 		}
 	}
 	eval := quadratic([]float64{1}, []float64{10})
-	for _, o := range []Optimizer{
-		NewNesterov([]float64{1}, 0.1, proj),
-		NewMomentum([]float64{1}, 0.1, 0.9, proj),
-		NewAdam([]float64{1}, 0.1, proj),
-	} {
-		for k := 0; k < 200; k++ {
-			o.Step(eval)
-		}
-		if got := o.Pos()[0]; got < 0 || got > 2 {
-			t.Errorf("%T iterate %g escaped [0,2]", o, got)
-		}
-		if got := o.Pos()[0]; math.Abs(got-2) > 1e-6 {
-			t.Errorf("%T converged to %g, want boundary 2", o, got)
-		}
+	o := NewNesterov([]float64{1}, 0.1, proj)
+	for k := 0; k < 200; k++ {
+		o.Step(eval)
+	}
+	if got := o.Pos()[0]; got < 0 || got > 2 {
+		t.Errorf("iterate %g escaped [0,2]", got)
+	}
+	if got := o.Pos()[0]; math.Abs(got-2) > 1e-6 {
+		t.Errorf("converged to %g, want boundary 2", got)
 	}
 }
 
@@ -166,15 +132,7 @@ func TestNesterovAlphaMaxClamp(t *testing.T) {
 	}
 }
 
-func TestGradNorm(t *testing.T) {
-	eval := quadratic([]float64{1, 1}, []float64{0, 0})
-	o := NewMomentum([]float64{3, 4}, 0.1, 0, nil)
-	if got := GradNorm(o, eval); math.Abs(got-5) > 1e-12 {
-		t.Errorf("GradNorm = %g, want 5", got)
-	}
-}
-
-// Nonconvex sanity: optimizers still descend on a Rosenbrock-like surface.
+// Nonconvex sanity: Nesterov still descends on a Rosenbrock-like surface.
 func TestNesterovDescendsRosenbrock(t *testing.T) {
 	eval := func(pos, grad []float64) float64 {
 		x, y := pos[0], pos[1]

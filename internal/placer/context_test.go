@@ -18,7 +18,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"non-pow2 GridX", func(c *Config) { c.GridX = 100 }},
 		{"negative GridX", func(c *Config) { c.GridX = -8 }},
 		{"non-pow2 GridY", func(c *Config) { c.GridY = 48 }},
-		{"unknown optimizer", func(c *Config) { c.Optimizer = "sgd" }},
 		{"unknown init", func(c *Config) { c.Init = "random" }},
 		{"unknown schedule", func(c *Config) { c.Schedule = "cosine" }},
 	}
@@ -41,7 +40,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 func TestValidateAcceptsGoodConfig(t *testing.T) {
 	cfg := DefaultConfig(wirelength.NewWA())
 	cfg.GridX, cfg.GridY = 64, 32
-	cfg.Optimizer = "adam"
 	cfg.Init = "quadratic"
 	cfg.Schedule = "tangent"
 	if err := cfg.Validate(); err != nil {

@@ -24,6 +24,7 @@ import (
 // snapshot, so the caller never sees non-finite positions.
 type guardian struct {
 	en  *engine
+	opt *optimizer.Nesterov
 	cfg guard.Config // effective config (defaults applied)
 	mon *guard.Monitor
 	lu  *LambdaUpdater
@@ -38,30 +39,23 @@ type guardian struct {
 	violations []guard.Violation // full history, across episodes
 
 	// lastGoodStep is the most recent healthy BB/backtracking step, the
-	// reference the Nesterov shrink cap is computed from (AlphaMax itself
-	// defaults to +Inf, so capping a fraction of it would be a no-op).
+	// reference the shrink cap is computed from (AlphaMax itself defaults
+	// to +Inf, so capping a fraction of it would be a no-op).
 	lastGoodStep float64
 	baseAlphaMax float64
-	baseLR       float64
 }
 
-func newGuardian(en *engine, cfg *guard.Config, lu *LambdaUpdater, res *Result, opt optimizer.Optimizer) *guardian {
+func newGuardian(en *engine, cfg *guard.Config, lu *LambdaUpdater, res *Result, opt *optimizer.Nesterov) *guardian {
 	g := &guardian{
-		en:  en,
-		mon: guard.NewMonitor(*cfg),
-		lu:  lu,
-		res: res,
-		o:   en.cfg.Obs,
+		en:           en,
+		opt:          opt,
+		mon:          guard.NewMonitor(*cfg),
+		lu:           lu,
+		res:          res,
+		o:            en.cfg.Obs,
+		baseAlphaMax: opt.AlphaMax,
 	}
 	g.cfg = g.mon.Config()
-	switch v := opt.(type) {
-	case *optimizer.Nesterov:
-		g.baseAlphaMax = v.AlphaMax
-	case *optimizer.Adam:
-		g.baseLR = v.LR
-	case *optimizer.Momentum:
-		g.baseLR = v.LR
-	}
 	return g
 }
 
@@ -81,18 +75,13 @@ func (g *guardian) count(name string) {
 // the previous iteration's check vouched for) on the SnapshotEvery cadence,
 // or immediately when the ring is still empty. Post-rollback replays skip
 // the capture: the tail entry already holds that iteration.
-func (g *guardian) maybeSnapshot(k int, opt optimizer.Optimizer) {
+func (g *guardian) maybeSnapshot(k int) {
 	if len(g.ring) > 0 {
 		if k%g.cfg.SnapshotEvery != 0 || g.ring[len(g.ring)-1].Iter == k {
 			return
 		}
 	}
-	snap, err := g.en.snapshot(k, opt, g.lu, g.res)
-	if err != nil {
-		g.o.Logger().Warn("guard: snapshot failed", "iter", k, "err", err)
-		return
-	}
-	g.ring = append(g.ring, snap)
+	g.ring = append(g.ring, g.en.snapshot(k, g.opt, g.lu, g.res))
 	if len(g.ring) > g.cfg.RingSize {
 		copy(g.ring, g.ring[1:])
 		g.ring[len(g.ring)-1] = nil
@@ -107,19 +96,15 @@ func (g *guardian) maybeSnapshot(k int, opt optimizer.Optimizer) {
 // guard and the recorder ran in the same iteration). All reads are
 // side-effect free with respect to the run, so an enabled-but-never-
 // tripping guard leaves the trajectory bit-identical to a guardless run.
-func (g *guardian) check(k int, obj, hpwl float64, opt optimizer.Optimizer) *guard.Violation {
-	pos := opt.Pos()
-	step := 0.0
-	if ss, ok := opt.(optimizer.StepSizer); ok {
-		step = ss.LastStepSize()
-	}
+func (g *guardian) check(k int, obj, hpwl float64) *guard.Violation {
+	step := g.opt.LastStepSize()
 	v := g.mon.Check(guard.Sample{
 		Iter:      k,
 		Objective: obj,
 		HPWL:      hpwl,
 		Overflow:  g.en.overflow,
 		Step:      step,
-		Pos:       pos,
+		Pos:       g.opt.Pos(),
 	})
 	if v == nil && step > 0 && !math.IsInf(step, 0) && !math.IsNaN(step) {
 		g.lastGoodStep = step
@@ -131,7 +116,7 @@ func (g *guardian) check(k int, obj, hpwl float64, opt optimizer.Optimizer) *gua
 // the iteration index to resume from, or a *guard.DivergenceError once the
 // episode's retry budget is exhausted (with the last good snapshot already
 // restored, so the design holds finite positions either way).
-func (g *guardian) handle(k int, v *guard.Violation, opt optimizer.Optimizer) (int, error) {
+func (g *guardian) handle(k int, v *guard.Violation) (int, error) {
 	g.trips++
 	g.violations = append(g.violations, *v)
 	g.res.GuardTrips++
@@ -156,7 +141,7 @@ func (g *guardian) handle(k int, v *guard.Violation, opt optimizer.Optimizer) (i
 	}
 	// Restore even when the budget is already exhausted: the caller gets
 	// the last good state, never the diverged one.
-	if err := g.restoreTo(snap, opt); err != nil {
+	if err := g.restoreTo(snap); err != nil {
 		return 0, fmt.Errorf("placer: guard rollback to iteration %d: %w", snap.Iter, err)
 	}
 	if g.trips > g.cfg.MaxRetries {
@@ -175,7 +160,7 @@ func (g *guardian) handle(k int, v *guard.Violation, opt optimizer.Optimizer) (i
 	// zero distortion of the trajectory; persistent trouble backs off
 	// exponentially.
 	factor := math.Pow(g.cfg.Shrink, float64(g.trips-1))
-	g.applyCap(opt, factor)
+	g.applyCap(factor)
 	g.capUntil = snap.Iter + g.cfg.RecoveryWindow
 	g.res.GuardRollbacks++
 	g.count("guard_rollbacks")
@@ -207,12 +192,8 @@ func (g *guardian) latestSnapshot() *checkpoint.Snapshot {
 // the monitor windows to a snapshot taken earlier in this same run (no
 // fingerprint re-check needed for ring entries; disk fallbacks were
 // already matched by latestSnapshot).
-func (g *guardian) restoreTo(snap *checkpoint.Snapshot, opt optimizer.Optimizer) error {
-	st, ok := opt.(optimizer.Stateful)
-	if !ok {
-		return fmt.Errorf("optimizer %T does not support rollback", opt)
-	}
-	if err := st.Restore(snap.Opt); err != nil {
+func (g *guardian) restoreTo(snap *checkpoint.Snapshot) error {
+	if err := g.opt.Restore(snap.Opt); err != nil {
 		return err
 	}
 	en := g.en
@@ -221,7 +202,7 @@ func (g *guardian) restoreTo(snap *checkpoint.Snapshot, opt optimizer.Optimizer)
 	en.overflow = snap.Overflow
 	en.lastEnergy = snap.LastEnergy
 	g.lu.RestoreState(snap.LambdaSched)
-	en.unpack(opt.Pos())
+	en.unpack(g.opt.Pos())
 	// Drop everything recorded in the abandoned future, so the replay
 	// appends over a trajectory identical to a run that never diverged.
 	tr := g.res.Trajectory
@@ -235,29 +216,15 @@ func (g *guardian) restoreTo(snap *checkpoint.Snapshot, opt optimizer.Optimizer)
 	return nil
 }
 
-// applyCap shrinks the optimizer step by factor. It runs after Restore
-// (which overwrites AlphaMax/LR from the snapshot), so the cap survives
-// the rollback it belongs to.
-func (g *guardian) applyCap(opt optimizer.Optimizer, factor float64) {
-	g.capActive = factor < 1
-	if !g.capActive {
-		return
-	}
-	switch v := opt.(type) {
-	case *optimizer.Nesterov:
-		if g.lastGoodStep > 0 {
-			v.AlphaMax = g.lastGoodStep * factor
-		} else {
-			// No healthy step observed yet (trip on the very first
-			// iteration): nothing meaningful to cap against.
-			g.capActive = false
-		}
-	case *optimizer.Adam:
-		v.LR = g.baseLR * factor
-	case *optimizer.Momentum:
-		v.LR = g.baseLR * factor
-	default:
-		g.capActive = false
+// applyCap caps the optimizer step at factor times the last healthy step.
+// It runs after Restore (which overwrites AlphaMax from the snapshot), so
+// the cap survives the rollback it belongs to. With no healthy step
+// observed yet (a trip on the very first iteration) there is nothing
+// meaningful to cap against.
+func (g *guardian) applyCap(factor float64) {
+	g.capActive = factor < 1 && g.lastGoodStep > 0
+	if g.capActive {
+		g.opt.AlphaMax = g.lastGoodStep * factor
 	}
 }
 
@@ -265,19 +232,12 @@ func (g *guardian) applyCap(opt optimizer.Optimizer, factor float64) {
 // its recovery window: the step cap (if any) returns to its base value and
 // the retry budget resets, so a later, unrelated transient gets the full
 // budget again.
-func (g *guardian) release(k int, opt optimizer.Optimizer) {
+func (g *guardian) release(k int) {
 	if g.trips == 0 || k < g.capUntil {
 		return
 	}
 	if g.capActive {
-		switch v := opt.(type) {
-		case *optimizer.Nesterov:
-			v.AlphaMax = g.baseAlphaMax
-		case *optimizer.Adam:
-			v.LR = g.baseLR
-		case *optimizer.Momentum:
-			v.LR = g.baseLR
-		}
+		g.opt.AlphaMax = g.baseAlphaMax
 		g.capActive = false
 	}
 	retries := g.trips

@@ -72,8 +72,6 @@ func TestPlaceParallelMatchesSerialRun(t *testing.T) {
 }
 
 // TestEffectiveWorkersDefault pins that an unset worker knob means serial.
-// (The deprecated WLWorkers alias lives only in the service JSON layer now;
-// its one pinning test is service.TestPlacerSpecWorkers.)
 func TestEffectiveWorkersDefault(t *testing.T) {
 	for _, c := range []struct{ workers, want int }{{0, 1}, {1, 1}, {4, 4}} {
 		cfg := Config{Workers: c.workers}

@@ -60,16 +60,10 @@ type Config struct {
 	// RecordEvery records a trajectory point (exact HPWL vs overflow)
 	// every that many iterations; 0 disables recording.
 	RecordEvery int
-	// KeepPositions starts from the design's input placement instead of
-	// the default ePlace center-with-jitter initialization.
-	KeepPositions bool
-	// Init selects the initial placement explicitly and overrides
-	// KeepPositions: "center" (ePlace default), "keep" (input positions),
-	// or "quadratic" (Bound2Bound quadratic placement, Kraftwerk2-style).
+	// Init selects the initial placement: "center" (ePlace default,
+	// center with jitter), "keep" (the design's input positions), or
+	// "quadratic" (Bound2Bound quadratic placement, Kraftwerk2-style).
 	Init string
-	// Optimizer selects the first-order method: "nesterov" (default),
-	// "adam", or "momentum" (ablation study).
-	Optimizer string
 	// Schedule overrides the smoothing-parameter schedule: "" picks by
 	// the model's ParamKind, "gamma" forces the ePlace schedule,
 	// "tangent" forces the paper's Eq. 14 schedule (ablation study).
@@ -84,9 +78,6 @@ type Config struct {
 	// pool of that many goroutines. Results are deterministic for a
 	// fixed worker count (per-worker partials reduce in index order) and
 	// match the serial path up to floating-point addition order.
-	// (The old WLWorkers alias is gone from this struct; the service
-	// layer still accepts the wl_workers JSON knob and folds it into
-	// Workers before the config reaches the placer.)
 	Workers int
 	// Obs, when non-nil, receives the run's observability streams:
 	// structured logs, per-phase trace spans (one per engine phase per
@@ -105,7 +96,7 @@ type Config struct {
 	Checkpoint CheckpointConfig
 	// Resume warm-starts the run from a snapshot instead of the usual
 	// initialization. The snapshot's config fingerprint must match this
-	// run (same design, grid, worker count, model, optimizer, seed);
+	// run (same design, grid, worker count, model, seed);
 	// otherwise PlaceContext fails with checkpoint.ErrMismatch. With a
 	// matching setup the resumed run finishes bit-identical to an
 	// uninterrupted one.
@@ -284,11 +275,6 @@ func (cfg *Config) Validate() error {
 	if cfg.GridY != 0 && !isPow2(cfg.GridY) {
 		return fmt.Errorf("placer: GridY %d must be a positive power of two (or 0 for auto)", cfg.GridY)
 	}
-	switch cfg.Optimizer {
-	case "", "nesterov", "adam", "momentum":
-	default:
-		return fmt.Errorf("placer: unknown optimizer %q (want nesterov, adam, or momentum)", cfg.Optimizer)
-	}
 	switch cfg.Init {
 	case "", "center", "keep", "quadratic":
 	default:
@@ -320,14 +306,6 @@ func (cfg *Config) Validate() error {
 		}
 	}
 	return nil
-}
-
-// optName resolves the optimizer config string to its canonical name.
-func optName(s string) string {
-	if s == "" {
-		return "nesterov"
-	}
-	return s
 }
 
 // effectiveWorkers resolves the worker-pool size (0 means serial).
@@ -437,11 +415,7 @@ func newEngine(d *netlist.Design, cfg Config, workers int) (*engine, []float64, 
 	// Initial placement.
 	initMode := cfg.Init
 	if initMode == "" {
-		if cfg.KeepPositions {
-			initMode = "keep"
-		} else {
-			initMode = "center"
-		}
+		initMode = "center"
 	}
 	switch initMode {
 	case "center", "keep":
@@ -690,32 +664,15 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 	setup.End()
 	logger.Info("gp: starting",
 		"design", d.Name, "cells", d.NumCells(), "nets", d.NumNets(),
-		"model", cfg.Model.Name(), "optimizer", optName(cfg.Optimizer),
+		"model", cfg.Model.Name(),
 		"workers", workers, "grid", fmt.Sprintf("%dx%d", en.grid.Nx, en.grid.Ny),
 		"fillers", en.numFillers, "lambda0", en.lambda, "overflow0", en.overflow)
 
-	var opt optimizer.Optimizer
-	binScale := en.grid.BinW + en.grid.BinH
-	switch cfg.Optimizer {
-	case "", "nesterov":
-		opt = optimizer.NewNesterov(pos, 1e-3*binScale, en.project)
-	case "adam":
-		// Adam's normalized step moves each coordinate by up to LR per
-		// iteration; half a bin keeps spreading stable.
-		opt = optimizer.NewAdam(pos, 0.25*binScale, en.project)
-	case "momentum":
-		opt = optimizer.NewMomentum(pos, 1e-2*binScale, 0.9, en.project)
-	default:
-		return nil, fmt.Errorf("placer: unknown optimizer %q (want nesterov, adam, or momentum)", cfg.Optimizer)
-	}
+	opt := optimizer.NewNesterov(pos, 1e-3*(en.grid.BinW+en.grid.BinH), en.project)
 
 	res := &Result{ReleasedCells: len(en.mov), FrozenCells: en.numFrozen}
 	if cfg.Resume != nil {
-		st, ok := opt.(optimizer.Stateful)
-		if !ok {
-			return nil, fmt.Errorf("placer: optimizer %T does not support resume", opt)
-		}
-		if err := st.Restore(cfg.Resume.Opt); err != nil {
+		if err := opt.Restore(cfg.Resume.Opt); err != nil {
 			return nil, fmt.Errorf("placer: resume: %w", err)
 		}
 		res.ResumedFrom = startIter
@@ -736,11 +693,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 		d.ClampToRegion()
 		res.HPWL = wirelength.TotalHPWL(d)
 		res.Overflow = en.overflow
-		if nes, ok := opt.(*optimizer.Nesterov); ok {
-			res.Evaluations = nes.EvalCount()
-		} else {
-			res.Evaluations = res.Iterations
-		}
+		res.Evaluations = opt.EvalCount()
 		res.LoopSeconds = prevLoop + time.Since(loopStart).Seconds()
 		res.Seconds = prevSetup + prevLoop + time.Since(start).Seconds()
 		if mstats != nil {
@@ -762,12 +715,10 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 		if cfg.Checkpoint.Dir == "" {
 			return nil
 		}
-		snap, err := en.snapshot(iter, opt, lu, res)
-		if err == nil {
-			snap.SetupSeconds = res.SetupSeconds
-			snap.LoopSeconds = prevLoop + time.Since(loopStart).Seconds()
-			_, err = checkpoint.WriteRotating(cfg.Checkpoint.Dir, snap, cfg.Checkpoint.keepOrDefault())
-		}
+		snap := en.snapshot(iter, opt, lu, res)
+		snap.SetupSeconds = res.SetupSeconds
+		snap.LoopSeconds = prevLoop + time.Since(loopStart).Seconds()
+		_, err := checkpoint.WriteRotating(cfg.Checkpoint.Dir, snap, cfg.Checkpoint.keepOrDefault())
 		if err == nil {
 			res.Checkpoints++
 			if o != nil {
@@ -793,8 +744,8 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 			return res, err
 		}
 		if grd != nil {
-			grd.release(k, opt)
-			grd.maybeSnapshot(k, opt)
+			grd.release(k)
+			grd.maybeSnapshot(k)
 		}
 		it := o.StartIteration(k)
 		en.param = schedule(en.overflow)
@@ -814,8 +765,8 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 			hpwl = wirelength.TotalHPWL(d)
 		}
 		if grd != nil {
-			if v := grd.check(k, obj, hpwl, opt); v != nil {
-				restart, gerr := grd.handle(k, v, opt)
+			if v := grd.check(k, obj, hpwl); v != nil {
+				restart, gerr := grd.handle(k, v)
 				it.End()
 				if gerr != nil {
 					finalize()
@@ -852,10 +803,6 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 			}
 		}
 		if o != nil && o.Metrics != nil {
-			step := 0.0
-			if ss, ok := opt.(optimizer.StepSizer); ok {
-				step = ss.LastStepSize()
-			}
 			// The gauge reports HPWL only on iterations that sampled it
 			// for the trajectory/hook, matching the historical stream.
 			gaugeHPWL := 0.0
@@ -864,7 +811,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 			}
 			o.Metrics.Record(obs.Point{
 				Iter: k, HPWL: gaugeHPWL, Overflow: en.overflow,
-				Lambda: en.lambda, Param: en.param, Step: step,
+				Lambda: en.lambda, Param: en.param, Step: opt.LastStepSize(),
 			})
 		}
 		if stop {

@@ -302,12 +302,12 @@ func TestPlaceWithoutFillers(t *testing.T) {
 }
 
 func TestPlaceKeepInputPositions(t *testing.T) {
-	// KeepPositions must start from the given placement; a design
+	// Init "keep" must start from the given placement; a design
 	// that is already spread out should keep overflow low from the start.
 	d := testDesign(t, 300, 0)
 	m, _ := wirelength.ByName("WA")
 	cfg := fastConfig(m)
-	cfg.KeepPositions = true
+	cfg.Init = "keep"
 	cfg.MaxIters = 5
 	cfg.RecordEvery = 1
 	res, err := Place(d, cfg)
@@ -319,32 +319,6 @@ func TestPlaceKeepInputPositions(t *testing.T) {
 	}
 	if res.Trajectory[0].Overflow > 0.9 {
 		t.Errorf("spread input collapsed: initial overflow %g", res.Trajectory[0].Overflow)
-	}
-}
-
-func TestPlaceOptimizerVariants(t *testing.T) {
-	if testing.Short() {
-		t.Skip("optimizer sweep in -short mode")
-	}
-	d := testDesign(t, 300, 0)
-	m, _ := wirelength.ByName("ME")
-	for _, opt := range []string{"nesterov", "adam", "momentum"} {
-		cfg := fastConfig(m)
-		cfg.Optimizer = opt
-		cfg.MaxIters = 200
-		cfg.StopOverflow = 0.3
-		res, err := Place(d.Clone(), cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", opt, err)
-		}
-		if math.IsNaN(res.HPWL) || res.HPWL <= 0 {
-			t.Errorf("%s: HPWL = %g", opt, res.HPWL)
-		}
-	}
-	cfg := fastConfig(m)
-	cfg.Optimizer = "bogus"
-	if _, err := Place(d.Clone(), cfg); err == nil {
-		t.Error("unknown optimizer accepted")
 	}
 }
 

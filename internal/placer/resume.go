@@ -33,17 +33,11 @@ func (c CheckpointConfig) keepOrDefault() int {
 	return 3
 }
 
-// optimizerName canonicalizes the Config.Optimizer enum for fingerprints.
-func (cfg *Config) optimizerName() string {
-	if cfg.Optimizer == "" {
-		return "nesterov"
-	}
-	return cfg.Optimizer
-}
-
 // fingerprint pins the run setup a snapshot belongs to. Every field affects
 // either the trajectory itself or its bit-level determinism, so resume is
-// refused unless all of them match.
+// refused unless all of them match. The optimizer is always "nesterov"; the
+// field stays so snapshots left by older builds that ran another optimizer
+// are skipped as mismatches instead of failing the optimizer restore.
 func (en *engine) fingerprint() checkpoint.Fingerprint {
 	d := en.d
 	return checkpoint.Fingerprint{
@@ -57,7 +51,7 @@ func (en *engine) fingerprint() checkpoint.Fingerprint {
 		GridY:         en.grid.Ny,
 		Workers:       en.workers,
 		Model:         en.cfg.Model.Name(),
-		Optimizer:     en.cfg.optimizerName(),
+		Optimizer:     "nesterov",
 		Seed:          en.cfg.Seed,
 		TargetDensity: en.targetDensity,
 		RegionXL:      d.Region.XL,
@@ -95,15 +89,7 @@ func FreezeHash(freeze []bool) uint64 {
 
 // snapshot captures the loop state at an iteration boundary: iter is the
 // number of completed iterations, i.e. the next iteration index to run.
-func (en *engine) snapshot(iter int, opt optimizer.Optimizer, lu *LambdaUpdater, res *Result) (*checkpoint.Snapshot, error) {
-	st, ok := opt.(optimizer.Stateful)
-	if !ok {
-		return nil, fmt.Errorf("placer: optimizer %T does not support checkpointing", opt)
-	}
-	evals := iter
-	if nes, ok := opt.(*optimizer.Nesterov); ok {
-		evals = nes.EvalCount()
-	}
+func (en *engine) snapshot(iter int, opt *optimizer.Nesterov, lu *LambdaUpdater, res *Result) *checkpoint.Snapshot {
 	traj := make([]checkpoint.TrajectoryPoint, len(res.Trajectory))
 	for i, p := range res.Trajectory {
 		traj[i] = checkpoint.TrajectoryPoint{
@@ -114,16 +100,16 @@ func (en *engine) snapshot(iter int, opt optimizer.Optimizer, lu *LambdaUpdater,
 	return &checkpoint.Snapshot{
 		Fingerprint: en.fingerprint(),
 		Iter:        iter,
-		Evaluations: evals,
+		Evaluations: opt.EvalCount(),
 		Param:       en.param,
 		Lambda:      en.lambda,
 		Overflow:    en.overflow,
 		LastEnergy:  en.lastEnergy,
 		LambdaSched: lu.State(),
 		Pos:         append([]float64(nil), opt.Pos()...),
-		Opt:         st.Snapshot(),
+		Opt:         opt.Snapshot(),
 		Trajectory:  traj,
-	}, nil
+	}
 }
 
 // restore warm-starts the engine from a snapshot: positions, smoothing

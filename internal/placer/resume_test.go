@@ -128,7 +128,6 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 		{"workers", func(c *Config) { c.Workers = 4 }},
 		{"model", func(c *Config) { c.Model = wirelength.NewLSE() }},
 		{"grid", func(c *Config) { c.GridX, c.GridY = 32, 32 }},
-		{"optimizer", func(c *Config) { c.Optimizer = "adam" }},
 		{"seed", func(c *Config) { c.Seed = 99 }},
 	}
 	for _, tc := range cases {
@@ -142,6 +141,19 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 			}
 		})
 	}
+
+	// A snapshot written by an older build that ran another optimizer is
+	// refused by fingerprint, before its optimizer state is ever decoded.
+	t.Run("optimizer", func(t *testing.T) {
+		old := *snap
+		old.Fingerprint.Optimizer = "adam"
+		c := resumeBase(1)
+		c.Resume = &old
+		_, err := Place(testDesign(t, 60, 0), c)
+		if !errors.Is(err, checkpoint.ErrMismatch) {
+			t.Errorf("err = %v, want checkpoint.ErrMismatch", err)
+		}
+	})
 
 	t.Run("different design", func(t *testing.T) {
 		c := resumeBase(1)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -231,5 +232,61 @@ func TestCacheNearHitSurvivesRetentionPrune(t *testing.T) {
 	}
 	if done := waitState(t, m, v2.ID, StateDone); done.Cache != "near_hit" {
 		t.Fatalf("child of pruned parent cache outcome %q, want near_hit", done.Cache)
+	}
+}
+
+// spinUntilTerminal polls Get without sleeping and returns the first terminal
+// view, so the caller acts at the earliest instant a client could.
+func spinUntilTerminal(t *testing.T, m *Manager, id string) JobView {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		v, err := m.Get(id)
+		if err != nil {
+			t.Fatalf("Get(%s): %v", id, err)
+		}
+		if v.State.Terminal() {
+			return v
+		}
+		runtime.Gosched()
+	}
+	t.Fatalf("job %s never finished", id)
+	return JobView{}
+}
+
+// TestDonePublishedAfterSideEffects pins the publish order: the instant Get
+// first reads done, Stats already counts the job, no longer counts it as
+// running, and the cache already holds its entry, so a resubmission made at
+// that instant is an exact hit.
+func TestDonePublishedAfterSideEffects(t *testing.T) {
+	m := newDurableManager(t, t.TempDir(), 1)
+	spec := cacheSpec(60)
+	spec.Placer.MaxIters = 20 // only the publish order matters, not the placement
+
+	v1, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done := spinUntilTerminal(t, m, v1.ID); done.State != StateDone {
+		t.Fatalf("first job ended %s (err=%q), want done", done.State, done.Error)
+	}
+	st := m.Stats()
+	if st.Running != 0 || st.CacheEntries != 1 || st.CacheMisses != 1 || m.tel.JobsDone.Value() != 1 {
+		t.Errorf("stats when the cold job first reads done = %+v, jobs done %d; want 0 running, 1 entry, 1 miss, 1 done",
+			st, m.tel.JobsDone.Value())
+	}
+
+	v2, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := spinUntilTerminal(t, m, v2.ID)
+	st = m.Stats()
+	if done.State != StateDone || done.Cache != "hit" {
+		t.Fatalf("resubmission at the instant of done: state %s, cache outcome %q; want done, hit", done.State, done.Cache)
+	}
+	if st.Running != 0 || st.CacheHits != 1 || m.tel.JobsDone.Value() != 2 {
+		t.Errorf("stats when the hit first reads done = %+v, jobs done %d; want 0 running, 1 hit, 2 done",
+			st, m.tel.JobsDone.Value())
 	}
 }

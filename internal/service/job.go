@@ -278,14 +278,21 @@ func (j *job) markCancelledIfQueued() bool {
 	return true
 }
 
-// finish records the terminal state of a run.
-func (j *job) finish(state State, res *core.FlowResult, errMsg string) {
+// finish records the terminal outcome of a run and, with a store, writes
+// it as the job's durable status (persistAs overrides the recorded state,
+// as in persisted) before releasing j.mu, so no reader sees the terminal
+// state before it is saved. Callers commit every other side effect the
+// state implies (counters, cache entry) before calling finish.
+func (j *job) finish(store *Store, state State, res *core.FlowResult, errMsg string, persistAs State) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state = state
 	j.finished = time.Now()
 	j.result = res
 	j.err = errMsg
+	if store != nil {
+		store.SaveStatus(j.id, j.persistedLocked(persistAs)) //nolint:errcheck // best-effort
+	}
 }
 
 // setCacheOutcome records how the placement-result cache served this run.
@@ -320,6 +327,11 @@ func (j *job) wasUserCancelled() bool {
 func (j *job) persisted(override State) PersistedStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.persistedLocked(override)
+}
+
+// persistedLocked is persisted with j.mu already held.
+func (j *job) persistedLocked(override State) PersistedStatus {
 	st := PersistedStatus{
 		State:       j.state,
 		Design:      j.design,

@@ -533,7 +533,6 @@ func (m *Manager) worker() {
 		v := j.view()
 		m.tel.QueueSeconds.Observe(v.QueueWait)
 		m.run(j)
-		m.tel.JobsRunning.Add(-1)
 		m.pruneFinished()
 	}
 }
@@ -580,6 +579,15 @@ func (m *Manager) exportTrace(j *job, t *obs.Tracer) {
 	m.log.Debug("trace exported", "job", j.id, "path", path, "spans", len(t.Events()), "dropped", t.Dropped())
 }
 
+// finish ends job j's run: it takes the job off the running gauge and then
+// publishes the terminal state (see job.finish). Callers count the outcome
+// and fill the cache first, so a client that reads the terminal state finds
+// every side effect it implies in Stats and in the cache.
+func (m *Manager) finish(j *job, state State, res *core.FlowResult, errMsg string, persistAs State) {
+	m.tel.JobsRunning.Add(-1)
+	j.finish(m.store, state, res, errMsg, persistAs)
+}
+
 // run executes one job's placement flow and records its terminal state. A
 // panic anywhere in the flow (engine bug, poisoned input, injected fault) is
 // recovered here: the job fails with the stack in its status, the worker
@@ -590,11 +598,13 @@ func (m *Manager) run(j *job) {
 		if r == nil {
 			return
 		}
-		j.finish(StateFailed, nil, fmt.Sprintf("panic: %v\n%s", r, debug.Stack()))
-		m.persist(j, "")
 		m.tel.JobsPanicked.Inc()
-		m.tel.JobsFailed.Inc()
 		m.log.Error("job panicked, worker recovered", "job", j.id, "panic", fmt.Sprint(r))
+		if j.currentState().Terminal() {
+			return // the outcome was already published; it stands
+		}
+		m.tel.JobsFailed.Inc()
+		m.finish(j, StateFailed, nil, fmt.Sprintf("panic: %v\n%s", r, debug.Stack()), "")
 	}()
 	if h := runHook; h != nil {
 		h(j.id)
@@ -602,9 +612,8 @@ func (m *Manager) run(j *job) {
 	d, err := j.spec.buildDesign(m.cfg.AuxRoot)
 	if err != nil {
 		m.log.Warn("job rejected: bad design", "job", j.id, "err", err)
-		j.finish(StateFailed, nil, err.Error())
-		m.persist(j, "")
 		m.tel.JobsFailed.Inc()
+		m.finish(j, StateFailed, nil, err.Error(), "")
 		return
 	}
 	j.mu.Lock()
@@ -704,8 +713,6 @@ func (m *Manager) run(j *job) {
 	}
 	switch {
 	case err == nil:
-		j.finish(StateDone, res, "")
-		m.persist(j, "")
 		if m.cache != nil {
 			// Store the finished placement so an identical resubmission is an
 			// exact hit and an ECO child can warm-start from it. Best-effort:
@@ -729,31 +736,29 @@ func (m *Manager) run(j *job) {
 		m.tel.LGSeconds.Observe(res.LGSeconds)
 		m.tel.DPSeconds.Observe(res.DPSeconds)
 		m.tel.TotalSeconds.Observe(res.TotalSeconds)
+		m.finish(j, StateDone, res, "", "")
 		m.log.Info("job done", "job", j.id, "design", d.Name,
 			"hpwl", res.DPWL, "overflow", res.Overflow, "seconds", res.TotalSeconds)
 	case errors.Is(err, context.Canceled):
-		j.finish(StateCancelled, nil, "cancelled")
 		if m.isDraining() && !j.wasUserCancelled() {
 			// Shutdown drain, not an explicit cancel: persist the job as
 			// interrupted so the next boot resumes it from the snapshot
 			// the engine just wrote on its way out.
-			m.persist(j, StateInterrupted)
 			m.tel.JobsInterrupted.Inc()
+			m.finish(j, StateCancelled, nil, "cancelled", StateInterrupted)
 			m.log.Info("job interrupted by drain", "job", j.id)
 		} else {
-			m.persist(j, "")
 			m.tel.JobsCancelled.Inc()
+			m.finish(j, StateCancelled, nil, "cancelled", "")
 			m.log.Info("job cancelled", "job", j.id)
 		}
 	case errors.Is(err, context.DeadlineExceeded):
-		j.finish(StateFailed, nil, "deadline exceeded")
-		m.persist(j, "")
 		m.tel.JobsFailed.Inc()
+		m.finish(j, StateFailed, nil, "deadline exceeded", "")
 		m.log.Warn("job failed: deadline exceeded", "job", j.id)
 	default:
-		j.finish(StateFailed, nil, err.Error())
-		m.persist(j, "")
 		m.tel.JobsFailed.Inc()
+		m.finish(j, StateFailed, nil, err.Error(), "")
 		m.log.Warn("job failed", "job", j.id, "err", err)
 	}
 }
@@ -773,12 +778,11 @@ func (m *Manager) serveCacheHit(j *job, d *netlist.Design, cached *checkpoint.Pl
 		Overflow: cached.Overflow,
 	}
 	j.setCacheOutcome("hit")
-	j.finish(StateDone, res, "")
-	m.persist(j, "")
 	m.tel.CacheHits.Inc()
 	m.tel.JobsDone.Inc()
 	m.tel.LastHPWL.Set(cached.HPWL)
 	m.tel.LastOverflow.Set(cached.Overflow)
+	m.finish(j, StateDone, res, "", "")
 	m.log.Info("job served from cache", "job", j.id, "design", d.Name, "hpwl", cached.HPWL)
 }
 

@@ -318,7 +318,6 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 			s.Design = DesignSpec{Aux: "adaptec5.aux"}
 		}},
 		{"unknown model", func(s *JobSpec) { s.Model = "nope" }},
-		{"bad optimizer", func(s *JobSpec) { s.Placer.Optimizer = "sgd" }},
 		{"non-pow2 grid", func(s *JobSpec) { s.Placer.GridX = 100 }},
 		{"negative timeout", func(s *JobSpec) { s.TimeoutSeconds = -1 }},
 		{"zero cells", func(s *JobSpec) { s.Design.Synth.Cells = 0 }},
