@@ -5,11 +5,16 @@ import "time"
 // Phase names used by the engine's per-iteration sub-spans (the Table-III
 // style runtime breakdown) and the coarse flow phases. The five engine
 // phases are the ones the service exports per-phase latency histograms for.
+//
+// Stamp and solve spans are emitted once per density refresh, not once per
+// evaluation: an evaluation at the positions of the previous refresh (the
+// accepted trial re-evaluated as the next step's leading point) reuses its
+// stamp, solve and field samples and emits neither span.
 const (
 	PhaseWirelength = "wirelength"     // model gradient (per eval)
-	PhaseStamp      = "density-stamp"  // smoothed stamping + overflow
-	PhaseSolve      = "poisson-solve"  // spectral solve + energy
-	PhaseGather     = "field-gather"   // per-cell field sampling
+	PhaseStamp      = "density-stamp"  // smoothed stamping + overflow (per refresh)
+	PhaseSolve      = "poisson-solve"  // spectral solve + energy (per refresh)
+	PhaseGather     = "field-gather"   // field sampling (per refresh) + gradient (per eval)
 	PhaseStep       = "optimizer-step" // whole optimizer step (evals nest inside)
 
 	PhaseIteration = "iteration" // umbrella span, one per loop iteration

@@ -188,10 +188,10 @@ func (g *guardian) latestSnapshot() *checkpoint.Snapshot {
 	return nil
 }
 
-// restoreTo rewinds optimizer, engine scalars, schedules, trajectory, and
-// the monitor windows to a snapshot taken earlier in this same run (no
-// fingerprint re-check needed for ring entries; disk fallbacks were
-// already matched by latestSnapshot).
+// restoreTo rewinds optimizer, engine scalars, schedules, trajectory, the
+// density memo, and the monitor windows to a snapshot taken earlier in
+// this same run (no fingerprint re-check needed for ring entries; disk
+// fallbacks were already matched by latestSnapshot).
 func (g *guardian) restoreTo(snap *checkpoint.Snapshot) error {
 	if err := g.opt.Restore(snap.Opt); err != nil {
 		return err
@@ -203,6 +203,10 @@ func (g *guardian) restoreTo(snap *checkpoint.Snapshot) error {
 	en.lastEnergy = snap.LastEnergy
 	g.lu.RestoreState(snap.LambdaSched)
 	en.unpack(g.opt.Pos())
+	// The density memo may hold a field computed in the abandoned future
+	// (possibly the poisoned one that tripped the guard); the replay must
+	// refresh it.
+	en.memo.drop()
 	// Drop everything recorded in the abandoned future, so the replay
 	// appends over a trajectory identical to a run that never diverged.
 	tr := g.res.Trajectory

@@ -188,7 +188,9 @@ func TestGuardDivergenceErrorAfterRetryBudget(t *testing.T) {
 
 // TestGuardRecoversFromPoisonedSolve one poisoned Poisson field output
 // propagates NaN through the density gradient; the guard absorbs it the
-// same way as a wirelength fault.
+// same way as a wirelength fault. The rollback drops the density memo, so
+// the first evaluation of the replay solves the field again instead of
+// reusing one computed in the abandoned future.
 func TestGuardRecoversFromPoisonedSolve(t *testing.T) {
 	dClean := testDesign(t, 80, 0)
 	clean, err := Place(dClean, resumeBase(1))
@@ -196,10 +198,17 @@ func TestGuardRecoversFromPoisonedSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// evals counts wirelength evaluations (one per engine evaluation plus
+	// the setup calibration); solvedIn records the count at each solve.
+	evals := 0
+	var solvedIn []int
+	wirelength.GradHook = func(string, []float64, []float64) { evals++ }
+	defer func() { wirelength.GradHook = nil }()
 	plan := faultinject.NewPlan(faultinject.Fault{
 		Site: faultinject.SitePoissonSolve, Mode: faultinject.ModePoison, After: 35,
 	})
 	density.SolveHook = func(e *density.Electro) {
+		solvedIn = append(solvedIn, evals)
 		if _, ok := plan.Visit(faultinject.SitePoissonSolve); ok {
 			for i := range e.Ex {
 				e.Ex[i] = math.NaN()
@@ -210,17 +219,30 @@ func TestGuardRecoversFromPoisonedSolve(t *testing.T) {
 
 	d := testDesign(t, 80, 0)
 	cfg := resumeBase(1)
-	cfg.Guard = &guard.Config{}
+	rollbackAt := -1
+	cfg.Guard = &guard.Config{OnEvent: func(ev guard.Event) {
+		if ev.Kind == guard.EventRollback && rollbackAt < 0 {
+			rollbackAt = evals
+		}
+	}}
 	res, err := Place(d, cfg)
 	if err != nil {
 		t.Fatalf("guarded run failed: %v", err)
 	}
-	if res.GuardTrips < 1 {
+	if res.GuardTrips < 1 || rollbackAt < 0 {
 		t.Fatal("poisoned solve never tripped the guard")
 	}
 	finitePositions(t, res)
 	if res.HPWL != clean.HPWL {
 		t.Errorf("HPWL after recovery = %v, want bit-identical %v", res.HPWL, clean.HPWL)
+	}
+	solvedFirst := false
+	for _, e := range solvedIn {
+		solvedFirst = solvedFirst || e == rollbackAt+1
+	}
+	if !solvedFirst {
+		t.Errorf("first evaluation after the rollback (wirelength call %d) reused the density memo; solves ran at %v",
+			rollbackAt+1, solvedIn)
 	}
 }
 

@@ -15,9 +15,11 @@ import (
 
 // TestObservedRunTraceRoundTrip runs an instrumented placement and pins the
 // span accounting: the optimizer-step and iteration spans appear exactly
-// once per iteration, the four eval phases once per evaluation (>= once per
-// iteration: Nesterov backtracking re-evaluates), and the exported Chrome
-// trace decodes back to the identical event list.
+// once per iteration; the wirelength and gather phases once per evaluation
+// (>= once per iteration: Nesterov backtracking re-evaluates); the stamp and
+// solve phases once per density refresh, i.e. once per evaluation that did
+// not reuse the density memo (the density_reuses counter); and the exported
+// Chrome trace decodes back to the identical event list.
 func TestObservedRunTraceRoundTrip(t *testing.T) {
 	d := testDesign(t, 80, 0)
 	cfg := fastConfig(wirelength.NewMoreau())
@@ -48,9 +50,23 @@ func TestObservedRunTraceRoundTrip(t *testing.T) {
 	if got := perPhase[obs.PhaseIteration]; got != res.Iterations {
 		t.Errorf("%s spans = %d, want exactly %d", obs.PhaseIteration, got, res.Iterations)
 	}
-	for _, p := range []string{obs.PhaseWirelength, obs.PhaseStamp, obs.PhaseSolve, obs.PhaseGather} {
+	for _, p := range []string{obs.PhaseWirelength, obs.PhaseGather} {
 		if got := perPhase[p]; got != res.Evaluations {
 			t.Errorf("%s spans = %d, want %d (one per evaluation)", p, got, res.Evaluations)
+		}
+	}
+	// Each accepted trial is evaluated again as the next step's leading
+	// point, and the setup refresh serves the first step, so reuse must
+	// happen; every other evaluation refreshes the density exactly once.
+	reuses := o.Metrics.Snapshot().Counters["density_reuses"]
+	if reuses < 1 {
+		t.Errorf("density_reuses = %d, want >= 1", reuses)
+	}
+	refreshes := res.Evaluations - int(reuses)
+	for _, p := range []string{obs.PhaseStamp, obs.PhaseSolve} {
+		if got := perPhase[p]; got != refreshes {
+			t.Errorf("%s spans = %d, want %d (evaluations %d - density_reuses %d)",
+				p, got, refreshes, res.Evaluations, reuses)
 		}
 	}
 	if res.Evaluations < res.Iterations {

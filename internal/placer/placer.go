@@ -80,8 +80,11 @@ type Config struct {
 	// match the serial path up to floating-point addition order.
 	Workers int
 	// Obs, when non-nil, receives the run's observability streams:
-	// structured logs, per-phase trace spans (one per engine phase per
-	// iteration), and convergence metrics. A nil Obs — or an Obs with
+	// structured logs, per-phase trace spans, and convergence metrics. The
+	// wirelength and gather spans come once per evaluation; the density
+	// stamp and solve spans once per density refresh, so an evaluation that
+	// reuses the previous refresh (counted as "density_reuses") emits
+	// neither. A nil Obs — or an Obs with
 	// neither tracer nor metrics — costs one pointer check per phase and
 	// leaves the hot path unchanged.
 	Obs *obs.Observer
@@ -232,6 +235,10 @@ type engine struct {
 
 	lastEnergy float64
 
+	// memo is the last density refresh, reused when eval is called again at
+	// the same positions (see densityMemo).
+	memo densityMemo
+
 	// Prebuilt hot-path closures and their parameter fields: closures
 	// handed to parallel.For / the stamper from inside eval would escape
 	// to the heap on every call, so they are constructed once (initHotPath)
@@ -239,6 +246,7 @@ type engine struct {
 	// is never called concurrently with itself, so plain fields are safe.
 	pos, grad    []float64
 	evalFn       func(pos, grad []float64) float64
+	fnSample     func(w, lo, hi int)
 	fnGatherMov  func(w, lo, hi int)
 	fnGatherFill func(w, lo, hi int)
 	fnStampMov   func(i int) (float64, float64, float64, float64)
@@ -397,7 +405,7 @@ func newEngine(d *netlist.Design, cfg Config, workers int) (*engine, []float64, 
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	en.setupFillers(rng)
+	en.setupFillers()
 
 	n := len(en.mov) + en.numFillers
 	pos := make([]float64, 2*n)
@@ -480,15 +488,16 @@ func newEngine(d *netlist.Design, cfg Config, workers int) (*engine, []float64, 
 
 	en.wgx = make([]float64, d.NumCells())
 	en.wgy = make([]float64, d.NumCells())
+	en.memo = newDensityMemo(n)
 	en.initHotPath()
 	return en, pos, nil
 }
 
 // initHotPath constructs the closures used by every eval once, so the
 // steady-state objective/gradient evaluation performs no allocations: the
-// stamping callbacks, the per-cell and per-filler field gather bodies, and
-// the optimizer's evaluation function (a method value created per call would
-// itself allocate).
+// stamping callbacks, the field sampling body, the per-cell and per-filler
+// gradient gather bodies, and the optimizer's evaluation function (a method
+// value created per call would itself allocate).
 func (en *engine) initHotPath() {
 	d := en.d
 	n := len(en.mov) + en.numFillers
@@ -501,16 +510,21 @@ func (en *engine) initHotPath() {
 		i := nm + f
 		return en.pos[i], en.pos[n+i], en.fillerW, en.fillerH
 	}
-	// The per-cell field gather is embarrassingly parallel: entry i writes
-	// only grad[i] and grad[n+i] and reads shared immutable state, so the
-	// result is worker-count independent.
+	// Field sampling and the gradient gather are embarrassingly parallel:
+	// entry i writes only its own samples and gradient components and reads
+	// shared immutable state, so the result is worker-count independent.
+	en.fnSample = func(_, lo, hi int) {
+		pos, fx, fy := en.pos, en.memo.fx, en.memo.fy
+		for i := lo; i < hi; i++ {
+			fx[i], fy[i] = en.grid.SampleSmoothed(en.elec.Ex, en.elec.Ey, pos[i], pos[n+i], 2*en.halfW[i], 2*en.halfH[i])
+		}
+	}
 	en.fnGatherMov = func(_, lo, hi int) {
-		pos, grad := en.pos, en.grad
+		grad, fx, fy := en.grad, en.memo.fx, en.memo.fy
 		for i := lo; i < hi; i++ {
 			c := en.mov[i]
-			fx, fy := en.grid.SampleSmoothed(en.elec.Ex, en.elec.Ey, pos[i], pos[n+i], 2*en.halfW[i], 2*en.halfH[i])
-			grad[i] = en.wgx[c] - en.lambda*fx
-			grad[n+i] = en.wgy[c] - en.lambda*fy
+			grad[i] = en.wgx[c] - en.lambda*fx[i]
+			grad[n+i] = en.wgy[c] - en.lambda*fy[i]
 			if en.cfg.Precondition {
 				p := float64(len(d.PinsOfCell(c))) + en.lambda*d.Cells[c].Area()
 				if p < 1 {
@@ -522,7 +536,7 @@ func (en *engine) initHotPath() {
 		}
 	}
 	en.fnGatherFill = func(_, lo, hi int) {
-		pos, grad := en.pos, en.grad
+		grad, fx, fy := en.grad, en.memo.fx, en.memo.fy
 		fillerPre := 1.0
 		if en.cfg.Precondition {
 			fillerPre = en.lambda * en.fillerW * en.fillerH
@@ -532,9 +546,8 @@ func (en *engine) initHotPath() {
 		}
 		for f := lo; f < hi; f++ {
 			i := nm + f
-			fx, fy := en.grid.SampleSmoothed(en.elec.Ex, en.elec.Ey, pos[i], pos[n+i], en.fillerW, en.fillerH)
-			grad[i] = -en.lambda * fx / fillerPre
-			grad[n+i] = -en.lambda * fy / fillerPre
+			grad[i] = -en.lambda * fx[i] / fillerPre
+			grad[n+i] = -en.lambda * fy[i] / fillerPre
 		}
 	}
 }
@@ -606,13 +619,10 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 	tSched := TSchedule{T0: cfg.T0, Delta: cfg.Delta, BinW: en.grid.BinW, BinH: en.grid.BinH}
 	useTangent := cfg.Model.ParamKind() == wirelength.ParamMoreauT
 	switch cfg.Schedule {
-	case "":
 	case "gamma":
 		useTangent = false
 	case "tangent":
 		useTangent = true
-	default:
-		return nil, fmt.Errorf("placer: unknown schedule %q (want gamma or tangent)", cfg.Schedule)
 	}
 	schedule := func(phi float64) float64 {
 		if useTangent {
@@ -652,13 +662,16 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 		logger.Info("gp: resuming from checkpoint", "design", d.Name, "iter", startIter, "overflow", en.overflow)
 	} else {
 		// Measure the initial overflow and calibrate lambda0 from the ratio
-		// of wirelength to density gradient magnitudes (ePlace).
+		// of wirelength to density gradient magnitudes (ePlace). The refresh
+		// fills the density memo, so the first step's leading evaluation
+		// reuses it.
 		en.unpack(pos)
-		en.overflow = en.stampAndOverflow(pos)
+		en.refreshDensity(pos, nil)
+		en.sampleField(pos)
+		en.overflow = en.memo.overflow
 		en.param = schedule(en.overflow)
-		en.elec.SolveFromGrid()
-		lambda0 := en.calibrateLambda0(pos)
-		lu.Prime(lambda0, en.elec.Energy())
+		lambda0 := en.calibrateLambda0()
+		lu.Prime(lambda0, en.memo.energy)
 		en.lambda = lu.Lambda()
 	}
 	setup.End()
@@ -701,6 +714,9 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 			m.Count("moreau_net_evals", mstats.Evals.Load())
 			m.Count("moreau_degenerate", mstats.Degenerate.Load())
 			m.Count("moreau_large_sorts", mstats.LargeSorts.Load())
+		}
+		if o != nil {
+			o.Metrics.Count("density_reuses", en.memo.reuses)
 		}
 		logger.Info("gp: done",
 			"design", d.Name, "hpwl", res.HPWL, "overflow", res.Overflow,
@@ -840,7 +856,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 
 // setupFillers computes filler dimensions and count from the whitespace
 // budget: fillerArea = targetDensity*freeArea - movableArea.
-func (en *engine) setupFillers(rng *rand.Rand) {
+func (en *engine) setupFillers() {
 	if en.cfg.NoFillers {
 		return
 	}
@@ -885,7 +901,6 @@ func (en *engine) setupFillers(rng *rand.Rand) {
 		en.fillerH *= scale
 		en.numFillers = max
 	}
-	_ = rng
 }
 
 // unpack writes the position vector back into the design's movable cells.
@@ -913,15 +928,14 @@ func (en *engine) stampAndOverflow(pos []float64) float64 {
 
 // calibrateLambda0 returns the ePlace initial density weight: the ratio of
 // the wirelength gradient L1 norm to the density gradient L1 norm at the
-// initial placement. The field must already be solved.
-func (en *engine) calibrateLambda0(pos []float64) float64 {
+// initial placement. The density memo must already hold the field samples
+// at that placement.
+func (en *engine) calibrateLambda0() float64 {
 	en.cfg.Model.WirelengthGrad(en.wlD, en.param, en.wgx, en.wgy)
 	var wlNorm, denNorm float64
-	n := len(en.mov) + en.numFillers
 	for i, c := range en.mov {
 		wlNorm += math.Abs(en.wgx[c]) + math.Abs(en.wgy[c])
-		fx, fy := en.grid.SampleSmoothed(en.elec.Ex, en.elec.Ey, pos[i], pos[n+i], 2*en.halfW[i], 2*en.halfH[i])
-		denNorm += math.Abs(fx) + math.Abs(fy)
+		denNorm += math.Abs(en.memo.fx[i]) + math.Abs(en.memo.fy[i])
 	}
 	if denNorm <= 0 {
 		return 1e-4
@@ -930,7 +944,11 @@ func (en *engine) calibrateLambda0(pos []float64) float64 {
 }
 
 // eval is the full objective W + lambda*D with gradient, used by the
-// optimizer (including its backtracking trials).
+// optimizer (including its backtracking trials). The wirelength gradient
+// and the gradient combination depend on the smoothing parameter and
+// lambda and run on every call; the density stamp, solve, and field
+// sampling depend only on pos and are reused from the memo when pos
+// matches the last refresh.
 func (en *engine) eval(pos, grad []float64) float64 {
 	o := en.cfg.Obs
 	if o != nil {
@@ -941,19 +959,45 @@ func (en *engine) eval(pos, grad []float64) float64 {
 	w := en.cfg.Model.WirelengthGrad(en.wlD, en.param, en.wgx, en.wgy)
 	sp.End()
 
-	sp = o.StartPhase(obs.PhaseStamp)
-	en.overflow = en.stampAndOverflow(pos)
-	sp.End()
-	sp = o.StartPhase(obs.PhaseSolve)
-	en.elec.SolveFromGrid()
-	energy := en.elec.Energy()
-	en.lastEnergy = energy
-	sp.End()
+	reuse := en.memo.holds(pos)
+	if reuse {
+		en.memo.reuses++
+	} else {
+		en.refreshDensity(pos, o)
+	}
+	en.overflow, en.lastEnergy = en.memo.overflow, en.memo.energy
+
 	sp = o.StartPhase(obs.PhaseGather)
 	defer sp.End()
-
+	if !reuse {
+		en.sampleField(pos)
+	}
 	en.pos, en.grad = pos, grad
 	parallel.For(en.workers, len(en.mov), en.fnGatherMov)
 	parallel.For(en.workers, en.numFillers, en.fnGatherFill)
-	return w + en.lambda*energy
+	return w + en.lambda*en.lastEnergy
+}
+
+// refreshDensity stamps the grid at pos and solves the field, recording the
+// overflow and energy in the memo. The memo stays invalid until sampleField
+// records the field samples at the same positions. Stamp and solve spans go
+// to o; a nil o emits none.
+func (en *engine) refreshDensity(pos []float64, o *obs.Observer) {
+	en.memo.drop()
+	sp := o.StartPhase(obs.PhaseStamp)
+	en.memo.overflow = en.stampAndOverflow(pos)
+	sp.End()
+	sp = o.StartPhase(obs.PhaseSolve)
+	en.elec.SolveFromGrid()
+	en.memo.energy = en.elec.Energy()
+	sp.End()
+}
+
+// sampleField samples the solved field at every position entry into the
+// memo and keys the memo on pos.
+func (en *engine) sampleField(pos []float64) {
+	en.pos = pos
+	parallel.For(en.workers, len(en.memo.fx), en.fnSample)
+	copy(en.memo.pos, pos)
+	en.memo.valid = true
 }

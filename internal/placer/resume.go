@@ -114,7 +114,8 @@ func (en *engine) snapshot(iter int, opt *optimizer.Nesterov, lu *LambdaUpdater,
 
 // restore warm-starts the engine from a snapshot: positions, smoothing
 // parameter, density weight, lambda-updater state, and the last observed
-// overflow/energy. The optimizer is restored separately (it is constructed
+// overflow/energy; the density memo is dropped, so the first evaluation
+// refreshes it. The optimizer is restored separately (it is constructed
 // after the engine). Fails with checkpoint.ErrMismatch when the snapshot
 // came from a different run setup.
 func (en *engine) restore(pos []float64, snap *checkpoint.Snapshot, lu *LambdaUpdater) error {
@@ -132,6 +133,7 @@ func (en *engine) restore(pos []float64, snap *checkpoint.Snapshot, lu *LambdaUp
 	en.lastEnergy = snap.LastEnergy
 	lu.RestoreState(snap.LambdaSched)
 	en.unpack(pos)
+	en.memo.drop()
 	return nil
 }
 
