@@ -3,9 +3,9 @@ GO ?= go
 # Each PR writes its own trajectory file so earlier ones stay comparable.
 BENCH ?= BENCH_PR10.json
 
-.PHONY: check fmt vet build test race fuzz-seeds fuzz bench cover placerd trace-demo fleet-demo chaos-demo placertop-demo golden
+.PHONY: check fmt vet durable-only build test race fuzz-seeds fuzz bench cover placerd trace-demo fleet-demo chaos-demo placertop-demo golden
 
-check: fmt vet build test race fuzz-seeds
+check: fmt vet durable-only build test race fuzz-seeds
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -16,6 +16,17 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# durable-only keeps internal/durable the one durable write path: no other
+# non-test Go file may call os.CreateTemp (write through durable.WriteFile
+# instead). placebench/ is excluded; it is frozen and has no such call.
+durable-only:
+	@out=$$(grep -rl --include='*.go' --exclude='*_test.go' 'os\.CreateTemp' . \
+		| grep -v -e '^\./internal/durable/' -e '^\./placebench/'); \
+	if [ -n "$$out" ]; then \
+		echo "os.CreateTemp outside internal/durable (use durable.WriteFile):"; \
+		echo "$$out"; exit 1; \
+	fi
+
 build:
 	$(GO) build ./...
 
@@ -23,9 +34,10 @@ test:
 	$(GO) test ./...
 
 # The job manager (now including the durable store and result cache), the
-# checkpoint codec, telemetry, engine cancellation, the numerical-health
-# guard, the fault injection harness, and every parallel evaluation path
-# (worker pool, density pipeline, wirelength reduction) must be clean under
+# checkpoint codec, the durable write helper, the shared retry backoff,
+# telemetry, engine cancellation, the numerical-health guard, the fault
+# injection harness, and every parallel evaluation path (worker pool,
+# density pipeline, wirelength reduction) must be clean under
 # the race detector; the placer/density/wirelength suites include the
 # parallel-vs-serial equivalence tests, the service suite includes the
 # kill-and-recover, panic-isolation, and cache-hit tests, the fleet suite
@@ -46,7 +58,8 @@ race:
 		./internal/wirelength/... ./internal/parallel/... \
 		./internal/obs/... ./internal/guard/... ./internal/faultinject/... \
 		./internal/fleet/... ./internal/chaos/... ./internal/ecocache/... \
-		./internal/netlist/... ./internal/trajclient/... ./internal/placertop/...
+		./internal/netlist/... ./internal/trajclient/... ./internal/placertop/... \
+		./internal/durable/... ./internal/backoff/...
 	$(GO) test -race -count=50 -timeout=30m \
 		-run '^(TestCacheExactHitBitIdentical|TestCacheNearHitWarmStartsFromParent|TestDonePublishedAfterSideEffects)$$' \
 		./internal/service/

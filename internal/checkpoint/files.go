@@ -9,6 +9,9 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/backoff"
+	"repro/internal/durable"
 )
 
 // snapshot file names sort by iteration: ckpt-000000123.ckpt.
@@ -22,12 +25,6 @@ const (
 // before the error propagates.
 const writeAttempts = 3
 
-// WriteHook, when non-nil, is consulted once per write attempt before any
-// bytes land on disk; a non-nil return fails that attempt with the error.
-// It is a build-tag-free fault-injection seam for the write-retry tests:
-// production code pays one nil check per attempt and never sets it.
-var WriteHook func(path string) error
-
 // OnWriteRetry, when non-nil, observes every failed write attempt that is
 // about to be retried (attempt is 1-based; the final failure is not
 // reported here — it surfaces as WriteFile's error). Both CLIs install a
@@ -37,71 +34,36 @@ var OnWriteRetry func(path string, attempt int, err error)
 // sleepFn is the retry backoff sleep, stubbed out in tests.
 var sleepFn = time.Sleep
 
-// retryBackoff returns the jittered delay before retrying attempt
-// (1-based): 2ms·2^(attempt-1) plus up to 1ms of jitter, so concurrent
-// writers against the same flaky volume don't retry in lockstep.
-func retryBackoff(attempt int) time.Duration {
-	base := 2 * time.Millisecond << (attempt - 1)
-	return base + time.Duration(rand.Int63n(int64(time.Millisecond)))
-}
-
 // FileName returns the canonical snapshot file name for an iteration.
 func FileName(iter int) string {
 	return fmt.Sprintf("%s%09d%s", filePrefix, iter, fileSuffix)
 }
 
-// WriteFile atomically writes the snapshot to path, retrying transient
-// failures with jittered exponential backoff (writeAttempts attempts
-// total) so a momentary I/O error degrades to an OnWriteRetry
-// notification instead of a lost snapshot. Each attempt lands the bytes
-// in a temp file in the same directory, syncs, and renames over the
-// destination, so a crash at any point leaves either the old file or the
-// new one — never a torn write.
+// WriteFile writes the snapshot to path through durable.WriteFile, so a
+// crash or power cut leaves either the old file or the new one. Retrying is
+// this package's policy: writeAttempts attempts spaced by the shared
+// jittered backoff (base 2ms), so a momentary I/O error degrades to an
+// OnWriteRetry notification instead of a lost snapshot.
 func WriteFile(path string, s *Snapshot) error {
-	var err error
+	data := Encode(s)
+	var retry *backoff.Backoff
 	for attempt := 1; ; attempt++ {
-		err = writeFileOnce(path, s)
+		err := durable.WriteFile(path, data)
 		if err == nil {
 			return nil
 		}
+		err = fmt.Errorf("checkpoint: %w", err)
 		if attempt >= writeAttempts {
 			return err
 		}
 		if f := OnWriteRetry; f != nil {
 			f(path, attempt, err)
 		}
-		sleepFn(retryBackoff(attempt))
-	}
-}
-
-func writeFileOnce(path string, s *Snapshot) error {
-	if h := WriteHook; h != nil {
-		if err := h(path); err != nil {
-			return fmt.Errorf("checkpoint: %w", err)
+		if retry == nil {
+			retry = backoff.New(2*time.Millisecond, 0, rand.Int63())
 		}
+		sleepFn(retry.Next())
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*.tmp")
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	data := Encode(s)
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	return nil
 }
 
 // ReadFile reads and decodes one snapshot file.

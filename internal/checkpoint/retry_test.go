@@ -7,8 +7,25 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/faultinject"
 )
+
+// failWrites installs a durable.Hook that consults plan once per write
+// attempt (at its "write" step) and fails the attempt when a fault fires.
+func failWrites(t *testing.T, plan *faultinject.Plan) {
+	t.Helper()
+	durable.Hook = func(path, step string) error {
+		if step != "write" {
+			return nil
+		}
+		if f, ok := plan.Visit(faultinject.SiteDurableWrite); ok {
+			return f.Err()
+		}
+		return nil
+	}
+	t.Cleanup(func() { durable.Hook = nil })
+}
 
 // stubSleep replaces the retry backoff sleep for the duration of a test and
 // records the requested delays.
@@ -24,15 +41,9 @@ func stubSleep(t *testing.T) *[]time.Duration {
 func TestWriteFileRetriesTransientErrors(t *testing.T) {
 	slept := stubSleep(t)
 	plan := faultinject.NewPlan(faultinject.Fault{
-		Site: faultinject.SiteCheckpointWrite, Mode: faultinject.ModeError, Times: 2,
+		Site: faultinject.SiteDurableWrite, Mode: faultinject.ModeError, Times: 2,
 	})
-	WriteHook = func(path string) error {
-		if f, ok := plan.Visit(faultinject.SiteCheckpointWrite); ok {
-			return f.Err()
-		}
-		return nil
-	}
-	defer func() { WriteHook = nil }()
+	failWrites(t, plan)
 
 	var retries []int
 	OnWriteRetry = func(path string, attempt int, err error) {
@@ -53,14 +64,14 @@ func TestWriteFileRetriesTransientErrors(t *testing.T) {
 	if len(*slept) != 2 {
 		t.Errorf("slept %d times, want 2", len(*slept))
 	}
-	// Backoff grows and carries jitter: attempt 1 in [2ms, 3ms), attempt 2
-	// in [4ms, 5ms).
+	// The shared schedule (base 2ms, ±25% jitter) grows: attempt 1 in
+	// [1.5ms, 2.5ms], attempt 2 in [3ms, 5ms].
 	if s := *slept; len(s) == 2 {
-		if s[0] < 2*time.Millisecond || s[0] >= 3*time.Millisecond {
-			t.Errorf("first backoff = %v, want in [2ms, 3ms)", s[0])
+		if s[0] < 1500*time.Microsecond || s[0] > 2500*time.Microsecond {
+			t.Errorf("first backoff = %v, want in [1.5ms, 2.5ms]", s[0])
 		}
-		if s[1] < 4*time.Millisecond || s[1] >= 5*time.Millisecond {
-			t.Errorf("second backoff = %v, want in [4ms, 5ms)", s[1])
+		if s[1] < 3*time.Millisecond || s[1] > 5*time.Millisecond {
+			t.Errorf("second backoff = %v, want in [3ms, 5ms]", s[1])
 		}
 	}
 	if _, err := ReadFile(path); err != nil {
@@ -71,22 +82,16 @@ func TestWriteFileRetriesTransientErrors(t *testing.T) {
 func TestWriteFilePersistentErrorSurfaces(t *testing.T) {
 	stubSleep(t)
 	plan := faultinject.NewPlan(faultinject.Fault{
-		Site: faultinject.SiteCheckpointWrite, Mode: faultinject.ModeError, Forever: true,
+		Site: faultinject.SiteDurableWrite, Mode: faultinject.ModeError, Forever: true,
 	})
-	WriteHook = func(path string) error {
-		if f, ok := plan.Visit(faultinject.SiteCheckpointWrite); ok {
-			return f.Err()
-		}
-		return nil
-	}
-	defer func() { WriteHook = nil }()
+	failWrites(t, plan)
 
 	path := filepath.Join(t.TempDir(), FileName(1))
 	err := WriteFile(path, sampleSnapshot())
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want the injected error after exhausting retries", err)
 	}
-	if got := plan.Visits(faultinject.SiteCheckpointWrite); got != writeAttempts {
+	if got := plan.Visits(faultinject.SiteDurableWrite); got != writeAttempts {
 		t.Errorf("write attempted %d times, want %d", got, writeAttempts)
 	}
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {

@@ -5,11 +5,11 @@
 // release for the placer (parent positions kept, only the delta's blast
 // region unfrozen).
 //
-// Entries are one file each in the cache directory, written atomically
-// (temp + rename) in the checkpoint result codec, so a crash mid-write never
-// corrupts an entry and a daemon restart recovers the cache by scanning the
-// directory. Eviction is LRU over a logical clock seeded from file mtimes,
-// bounded by both entry count and total bytes.
+// Entries are one file each in the cache directory, written through
+// durable.WriteFile in the checkpoint result codec, so a crash or power cut
+// mid-write never corrupts an entry and a daemon restart recovers the cache
+// by scanning the directory. Eviction is LRU over a logical clock seeded
+// from file mtimes, bounded by both entry count and total bytes.
 package ecocache
 
 import (
@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/durable"
 	"repro/internal/netlist"
 )
 
@@ -96,8 +97,9 @@ type Cache struct {
 }
 
 // Open loads (or creates) the cache rooted at dir, recovering the index from
-// the files already present. Unparseable file names are ignored; undecodable
-// entries are dropped lazily on first Get.
+// the files already present. Temp files a crash mid-Put left are removed;
+// other unparseable file names are ignored; undecodable entries are dropped
+// lazily on first Get.
 func Open(dir string, opts Options) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ecocache: %w", err)
@@ -115,6 +117,10 @@ func Open(dir string, opts Options) (*Cache, error) {
 	var found []seeded
 	for _, de := range des {
 		if de.IsDir() {
+			continue
+		}
+		if durable.IsTemp(de.Name()) {
+			os.Remove(filepath.Join(dir, de.Name())) //nolint:errcheck // best-effort sweep
 			continue
 		}
 		key, ok := parseFileName(de.Name())
@@ -172,25 +178,12 @@ func (c *Cache) Get(key Key) *checkpoint.PlacementResult {
 	return nil
 }
 
-// Put stores a placement under key, atomically, and evicts past the bounds.
+// Put durably stores a placement under key (see durable.WriteFile) and
+// evicts past the bounds. A failed write is not indexed.
 func (c *Cache) Put(key Key, r *checkpoint.PlacementResult) error {
 	data := checkpoint.EncodeResult(r)
-	path := filepath.Join(c.dir, key.fileName())
-	tmp, err := os.CreateTemp(c.dir, ".put-*")
-	if err != nil {
+	if err := durable.WriteFile(filepath.Join(c.dir, key.fileName()), data); err != nil {
 		return fmt.Errorf("ecocache: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), path)
-	}
-	if werr != nil {
-		os.Remove(tmp.Name()) //nolint:errcheck // cleanup
-		return fmt.Errorf("ecocache: %w", werr)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

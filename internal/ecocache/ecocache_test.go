@@ -1,11 +1,16 @@
 package ecocache
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/durable"
+	"repro/internal/faultinject"
 	"repro/internal/netlist"
 )
 
@@ -76,6 +81,65 @@ func TestCacheSurvivesReopen(t *testing.T) {
 	}
 	if r := c2.Get(key); r == nil || r.HPWL != 100 {
 		t.Fatalf("reopened cache lost the entry: %+v", r)
+	}
+}
+
+// TestCacheOpenSweepsStrayTemps: a crash mid-Put leaves the write's temp
+// file behind. Nothing indexes it, so Open must delete it or it would sit
+// outside the MaxBytes bound forever.
+func TestCacheOpenSweepsStrayTemps(t *testing.T) {
+	dir := t.TempDir()
+	stray := filepath.Join(dir, ".tmp-"+testKey(3, 1).fileName()+"-123456")
+	if err := os.WriteFile(stray, make([]byte, 4096), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stray); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("stray temp file survived Open: %v", err)
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("stats = %+v, want an empty cache", st)
+	}
+}
+
+// TestCachePutFailingDisk: a Put whose durable write fails returns the error
+// and leaves the entry unindexed, so a later Get misses instead of serving
+// a placement that may not be on disk.
+func TestCachePutFailingDisk(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := faultinject.NewPlan(faultinject.Fault{
+		Site: faultinject.SiteDurableWrite, Mode: faultinject.ModeError,
+	})
+	durable.Hook = func(path, step string) error {
+		if filepath.Dir(path) != dir || step != "sync" {
+			return nil
+		}
+		if f, ok := plan.Visit(faultinject.SiteDurableWrite); ok {
+			return fmt.Errorf("%w: %w", syscall.EIO, f.Err())
+		}
+		return nil
+	}
+	t.Cleanup(func() { durable.Hook = nil })
+
+	key := testKey(4, 2)
+	if err := c.Put(key, testResult(3, 1)); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("Put = %v, want the injected failure", err)
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("stats after failed Put = %+v, want nothing indexed", st)
+	}
+	if c.Get(key) != nil {
+		t.Fatal("Get served an entry whose Put failed")
+	}
+	if des, _ := os.ReadDir(dir); len(des) != 0 {
+		t.Fatalf("failed Put left %d files behind", len(des))
 	}
 }
 

@@ -1,12 +1,13 @@
 // Package faultinject provides a deterministic, seed-driven fault plan for
 // exercising the placer's recovery paths: divergence guard rollback,
-// checkpoint write retry, and service-level panic isolation.
+// failing-disk handling in every durable store, and service-level panic
+// isolation.
 //
 // A Plan is a set of scheduled Faults, each bound to an injection Site (a
-// named hook point in wirelength, density, checkpoint, or service code).
+// named hook point in wirelength, density, durable-write, or service code).
 // Production code never imports this package; instead each instrumented
 // package exposes a plain nil-checked hook variable (wirelength.GradHook,
-// density.SolveHook, checkpoint.WriteHook, ...) and tests install closures
+// density.SolveHook, durable.Hook, ...) and tests install closures
 // that consult a Plan. The hot path pays one nil check when no plan is
 // armed, and there are no build tags to keep in sync.
 //
@@ -36,9 +37,10 @@ const (
 	// SitePoissonSolve is consulted once per spectral Poisson solve
 	// (density.SolveHook).
 	SitePoissonSolve Site = "poisson-solve"
-	// SiteCheckpointWrite is consulted once per checkpoint write attempt
-	// (checkpoint.WriteHook), before any bytes land on disk.
-	SiteCheckpointWrite Site = "checkpoint-write"
+	// SiteDurableWrite is consulted from durable.Hook, the one seam under
+	// every durable file write (checkpoints, job store, result cache,
+	// coordinator journal); the hook picks which write steps visit it.
+	SiteDurableWrite Site = "durable-write"
 	// SiteServiceRun is consulted once per job execution at the top of the
 	// service worker's run function.
 	SiteServiceRun Site = "service-run"

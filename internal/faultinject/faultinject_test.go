@@ -41,10 +41,10 @@ func TestFaultDefaultsToOnce(t *testing.T) {
 }
 
 func TestFaultForever(t *testing.T) {
-	p := NewPlan(Fault{Site: SiteCheckpointWrite, Mode: ModeError, After: 1, Forever: true})
+	p := NewPlan(Fault{Site: SiteDurableWrite, Mode: ModeError, After: 1, Forever: true})
 	n := 0
 	for v := 0; v < 10; v++ {
-		if _, ok := p.Visit(SiteCheckpointWrite); ok {
+		if _, ok := p.Visit(SiteDurableWrite); ok {
 			n++
 		}
 	}
@@ -74,7 +74,7 @@ func TestFromSeedIsDeterministic(t *testing.T) {
 		return FromSeed(seed, 50,
 			Fault{Site: SiteWirelengthGrad, Mode: ModeNaN, After: -1},
 			Fault{Site: SitePoissonSolve, Mode: ModePoison, After: -1},
-			Fault{Site: SiteCheckpointWrite, Mode: ModeError, After: 7},
+			Fault{Site: SiteDurableWrite, Mode: ModeError, After: 7},
 		)
 	}
 	a, b := mk(42), mk(42)
@@ -94,26 +94,26 @@ func TestFromSeedIsDeterministic(t *testing.T) {
 }
 
 func TestErrWrapsSentinel(t *testing.T) {
-	f := Fault{Site: SiteCheckpointWrite, Mode: ModeError}
+	f := Fault{Site: SiteDurableWrite, Mode: ModeError}
 	if !errors.Is(f.Err(), ErrInjected) {
 		t.Fatal("Fault.Err does not wrap ErrInjected")
 	}
 }
 
 func TestPlanConcurrentVisits(t *testing.T) {
-	p := NewPlan(Fault{Site: SiteCheckpointWrite, Mode: ModeError, After: 0, Forever: true})
+	p := NewPlan(Fault{Site: SiteDurableWrite, Mode: ModeError, After: 0, Forever: true})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				p.Visit(SiteCheckpointWrite)
+				p.Visit(SiteDurableWrite)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := p.Visits(SiteCheckpointWrite); got != 800 {
+	if got := p.Visits(SiteDurableWrite); got != 800 {
 		t.Fatalf("Visits = %d, want 800", got)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -61,18 +62,18 @@ func (a *Agent) Run(ctx context.Context) {
 	if client == nil {
 		client = &http.Client{Timeout: 5 * time.Second}
 	}
-	backoff := NewBackoff(interval, 16*interval, rand.Int63())
+	retry := backoff.New(interval, 16*interval, rand.Int63())
 	timer := time.NewTimer(interval)
 	defer timer.Stop()
 	for {
 		delay := interval
 		if err := a.beat(ctx, client); err != nil {
-			delay = backoff.Next()
+			delay = retry.Next()
 			if a.registered.Swap(false) {
 				a.Log.Warn("heartbeat failed, deregistered", "err", err, "retry_in", delay)
 			}
 		} else {
-			backoff.Reset()
+			retry.Reset()
 			if !a.registered.Swap(true) {
 				a.Log.Info("registered with coordinator", "coordinator", a.Coordinator, "id", a.ID)
 			}

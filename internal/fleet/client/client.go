@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/fleet"
 	"repro/internal/service"
 )
@@ -126,11 +127,7 @@ func (c *Client) SubmitRetry(ctx context.Context, spec service.JobSpec, idemKey 
 	if budget <= 0 {
 		budget = 4
 	}
-	base := c.Backoff
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	backoff := fleet.NewBackoff(base, 0, time.Now().UnixNano())
+	retry := backoff.New(c.Backoff, 0, time.Now().UnixNano())
 	for {
 		v, err = c.SubmitIdem(ctx, spec, idemKey)
 		if err == nil {
@@ -145,7 +142,7 @@ func (c *Client) SubmitRetry(ctx context.Context, spec service.JobSpec, idemKey 
 			}
 		case fleet.RetryableCtx(ctx, err) && retries < budget:
 			retries++
-			if serr := sleepCtx(ctx, backoff.Next()); serr != nil {
+			if serr := sleepCtx(ctx, retry.Next()); serr != nil {
 				return fleet.JobView{}, rejected, retries, serr
 			}
 		default:

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/service/telemetry"
@@ -1255,7 +1256,7 @@ func (c *Coordinator) stealTo(j *fleetJob, target Heartbeat) bool {
 // and circuit-breaker accounting on the outcome. busy=true flags a 429/503
 // (queue full or draining — try the next candidate, not a fault).
 func (c *Coordinator) postJob(hb Heartbeat, spec service.JobSpec) (service.JobView, bool, error) {
-	var backoff *Backoff
+	var retry *backoff.Backoff
 	for attempt := 0; ; attempt++ {
 		v, busy, err := c.postJobOnce(hb, spec)
 		if err == nil {
@@ -1272,10 +1273,10 @@ func (c *Coordinator) postJob(hb Heartbeat, spec service.JobSpec) (service.JobVi
 		if attempt >= c.cfg.DispatchRetries || !Retryable(err) {
 			return v, false, err
 		}
-		if backoff == nil {
-			backoff = NewBackoff(c.cfg.DispatchBackoff, 0, c.dseed.Add(1))
+		if retry == nil {
+			retry = backoff.New(c.cfg.DispatchBackoff, 0, c.dseed.Add(1))
 		}
-		c.sleep(backoff.Next())
+		c.sleep(retry.Next())
 	}
 }
 

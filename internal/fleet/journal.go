@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/service"
 )
 
@@ -92,36 +93,42 @@ func openJournal(path string) (*Journal, []journalRecord, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	if validLen == 0 {
+		// Fresh (or headerless) file: install a header-only journal.
+		hdr := appendHeader(nil)
+		if err := durable.WriteFile(path, hdr); err != nil {
+			return nil, nil, err
+		}
+		validLen = int64(len(hdr))
+	}
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	if validLen == 0 {
-		// Fresh (or empty) file: stamp the header.
-		hdr := make([]byte, 0, len(journalMagic)+4)
-		hdr = append(hdr, journalMagic...)
-		hdr = binary.LittleEndian.AppendUint32(hdr, journalVersion)
-		if _, err := f.Write(hdr); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-	} else {
-		// Drop the torn tail (no-op when the file ended cleanly) and position
-		// at the end of the last good frame.
-		if err := f.Truncate(validLen); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		if _, err := f.Seek(validLen, io.SeekStart); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
+	// Drop the torn tail (no-op when the file ended cleanly); appends land
+	// after the last good frame.
+	if err := f.Truncate(validLen); err != nil {
+		f.Close()
+		return nil, nil, err
 	}
 	return &Journal{path: path, f: f}, recs, nil
+}
+
+// appendHeader appends the journal's magic+version header to buf.
+func appendHeader(buf []byte) []byte {
+	buf = append(buf, journalMagic...)
+	return binary.LittleEndian.AppendUint32(buf, journalVersion)
+}
+
+// appendFrame appends rec to buf as one length-prefixed, CRC-guarded frame.
+func appendFrame(buf []byte, rec journalRecord) ([]byte, error) {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return buf, err
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, journalCRC))
+	return append(buf, payload...), nil
 }
 
 // readJournal scans the file, returning every intact record and the byte
@@ -175,14 +182,10 @@ func readJournal(path string) ([]journalRecord, int64, error) {
 
 // Append frames, writes, and fsyncs one record.
 func (j *Journal) Append(rec journalRecord) error {
-	payload, err := json.Marshal(rec)
+	buf, err := appendFrame(nil, rec)
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 0, 8+len(payload))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, journalCRC))
-	buf = append(buf, payload...)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
@@ -206,66 +209,37 @@ func (j *Journal) AppendedSinceCompact() int {
 	return j.appended
 }
 
-// Compact atomically replaces the journal with a snapshot of the given
-// records (temp file + fsync + rename, like every durable write in this
-// repo), then reopens for appends. The snapshot is the coordinator's live
-// job table re-serialized, so replay cost stays proportional to retained
-// jobs instead of total history.
+// Compact replaces the journal with a snapshot of the given records, then
+// reopens for appends. The replacement is delegated to durable.WriteFile, so
+// a crash or power cut leaves either the old journal or the compacted one.
+// The snapshot is the coordinator's live job table re-serialized, so replay
+// cost stays proportional to retained jobs instead of total history.
 func (j *Journal) Compact(recs []journalRecord) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	tmp := j.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 4096)
-	buf = append(buf, journalMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, journalVersion)
+	buf := appendHeader(make([]byte, 0, 4096))
 	for _, rec := range recs {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
+		var err error
+		if buf, err = appendFrame(buf, rec); err != nil {
 			return err
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, journalCRC))
-		buf = append(buf, payload...)
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	werr := durable.WriteFile(j.path, buf)
+	// Reopen even when the write failed: the path holds the old journal, or
+	// the compacted one when only the directory fsync failed, and an append
+	// through the old handle could land in the unlinked pre-compaction inode
+	// and fsync into a deleted file.
+	j.f.Close()
+	var err error
+	if j.f, err = os.OpenFile(j.path, os.O_RDWR|os.O_APPEND, 0); err != nil {
+		// j.f is nil now: the journal is broken, so Append fails loudly and
+		// the coordinator's refuse-on-append-failure path engages instead
+		// of acking non-durable writes.
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if werr != nil {
+		return werr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	old := j.f
-	nf, err := os.OpenFile(j.path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		// The rename already installed the snapshot, but without a handle on
-		// it the only open descriptor points at the unlinked pre-compaction
-		// inode: a write through it would fsync into a deleted file and every
-		// later "durable" transition would be a lie. Mark the journal broken
-		// so Append fails loudly and the coordinator's refuse-on-append-
-		// failure path engages instead of acking non-durable writes.
-		old.Close()
-		j.f = nil
-		return err
-	}
-	old.Close()
-	j.f = nf
 	j.appended = 0
 	return nil
 }

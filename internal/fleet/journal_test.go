@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/durable"
+	"repro/internal/faultinject"
 	"repro/internal/service"
 )
 
@@ -204,6 +206,69 @@ func TestJournalCompact(t *testing.T) {
 	}
 	if len(recs) != 3 || recs[0].Kind != recMeta || recs[0].Seq != 42 || recs[2].State != "done" {
 		t.Fatalf("compacted journal replay = %+v", recs)
+	}
+}
+
+// TestJournalCompactFailingDisk: a compaction whose durable write fails must
+// leave a journal that replays and takes appends. A failure before the
+// rename keeps the old history; when only the directory fsync fails the
+// compacted snapshot is already installed, and the next append must land in
+// it rather than in the unlinked pre-compaction file.
+func TestJournalCompactFailingDisk(t *testing.T) {
+	cases := []struct {
+		step string
+		want int // records replayed after the failed compaction and one append
+	}{
+		{"rename", 6},  // five original records + the append
+		{"dirsync", 3}, // two-record snapshot + the append
+	}
+	for _, tc := range cases {
+		t.Run(tc.step, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "journal")
+			j, _, err := openJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				if err := j.Append(testRecord("fj-000001", i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			plan := faultinject.NewPlan(faultinject.Fault{
+				Site: faultinject.SiteDurableWrite, Mode: faultinject.ModeError,
+			})
+			durable.Hook = func(p, step string) error {
+				if p != path || step != tc.step {
+					return nil
+				}
+				if f, ok := plan.Visit(faultinject.SiteDurableWrite); ok {
+					return f.Err()
+				}
+				return nil
+			}
+			t.Cleanup(func() { durable.Hook = nil })
+
+			snap := []journalRecord{{Kind: recMeta, Seq: 42}, testRecord("fj-000042", 42)}
+			if err := j.Compact(snap); !errors.Is(err, faultinject.ErrInjected) {
+				t.Fatalf("Compact = %v, want the injected failure", err)
+			}
+			if err := j.Append(journalRecord{Kind: recTerminal, Job: "fj-000001", State: "done"}); err != nil {
+				t.Fatalf("append after failed compaction: %v", err)
+			}
+			j.Close()
+
+			_, recs, err := openJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) != tc.want || recs[len(recs)-1].State != "done" {
+				t.Fatalf("replayed %d records (last %+v), want %d ending in the append", len(recs), recs[len(recs)-1], tc.want)
+			}
+			if des, _ := os.ReadDir(dir); len(des) != 1 {
+				t.Fatalf("directory holds %d entries, want only the journal", len(des))
+			}
+		})
 	}
 }
 

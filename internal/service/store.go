@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/durable"
 )
 
 // Store is the durable on-disk job store behind a Manager. Each job owns a
@@ -22,10 +23,11 @@ import (
 //	<root>/jobs/job-000001/status.json
 //	<root>/jobs/job-000001/checkpoints/ckpt-000000050.ckpt
 //
-// All JSON writes are atomic (temp file + rename), so a crash at any point
-// leaves every job either at its previous status or its next one. On boot
-// the manager replays the store: finished jobs come back as inspectable
-// history, interrupted ones are re-enqueued as warm-start resumes.
+// All JSON writes go through durable.WriteFile (temp file, fsync, rename,
+// directory fsync), so a crash or power cut at any point leaves every job
+// either at its previous status or its next one. On boot the manager
+// replays the store: finished jobs come back as inspectable history,
+// interrupted ones are re-enqueued as warm-start resumes.
 type Store struct {
 	root string
 }
@@ -78,25 +80,13 @@ type PersistedJob struct {
 	Status PersistedStatus
 }
 
-// writeJSONFile atomically writes v as JSON to path.
+// writeJSONFile durably writes v as JSON to path (see durable.WriteFile).
 func writeJSONFile(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
+	if err == nil {
+		err = durable.WriteFile(path, data)
+	}
 	if err != nil {
-		return fmt.Errorf("service: store: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".store-*.tmp")
-	if err != nil {
-		return fmt.Errorf("service: store: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("service: store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("service: store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("service: store: %w", err)
 	}
 	return nil

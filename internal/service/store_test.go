@@ -3,11 +3,17 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/durable"
+	"repro/internal/faultinject"
 )
 
 // durableSpec is synthSpec pinned to one worker: bit-exact resume only holds
@@ -108,6 +114,43 @@ func TestStoreLoadSkipsCorruptRecords(t *testing.T) {
 	// The damaged directory still counts for ID allocation.
 	if got := s.MaxSeq(); got != 2 {
 		t.Errorf("MaxSeq = %d, want 2", got)
+	}
+}
+
+// TestJobDoneWhileStatusWritesFail: status persistence is best-effort, so a
+// disk that fails every status.json write must not stop a job from running
+// to done.
+func TestJobDoneWhileStatusWritesFail(t *testing.T) {
+	dir := t.TempDir()
+	plan := faultinject.NewPlan(faultinject.Fault{
+		Site: faultinject.SiteDurableWrite, Mode: faultinject.ModeError, Forever: true,
+	})
+	durable.Hook = func(path, step string) error {
+		if !strings.HasPrefix(path, dir) || filepath.Base(path) != "status.json" || step != "write" {
+			return nil
+		}
+		if f, ok := plan.Visit(faultinject.SiteDurableWrite); ok {
+			return fmt.Errorf("%w: %w", syscall.ENOSPC, f.Err())
+		}
+		return nil
+	}
+	// Registered before the manager so it runs after the manager's shutdown.
+	t.Cleanup(func() { durable.Hook = nil })
+	m := newDurableManager(t, dir, 1)
+
+	v, err := m.Submit(durableSpec(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := waitState(t, m, v.ID, StateDone)
+	if done.Result == nil {
+		t.Fatal("done job carries no result")
+	}
+	if plan.Fired(faultinject.SiteDurableWrite) == 0 {
+		t.Fatal("no status write was attempted")
+	}
+	if _, err := os.Stat(filepath.Join(m.store.jobDir(v.ID), "status.json")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("status.json exists despite every write failing: %v", err)
 	}
 }
 

@@ -16,10 +16,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/url"
 	"strconv"
 	"time"
+
+	"repro/internal/backoff"
 )
 
 // Point is one decoded trajectory sample: the JSON wire form of the
@@ -55,8 +58,8 @@ type Client struct {
 	// so an overall request timeout would cut it off mid-run. Cancellation
 	// comes from the context instead.
 	HTTP *http.Client
-	// BackoffMin/BackoffMax bound the exponential reconnect backoff
-	// (defaults 100ms and 5s).
+	// BackoffMin/BackoffMax are the base and cap of the jittered
+	// exponential reconnect backoff (defaults 100ms and 30× the base).
 	BackoffMin time.Duration
 	BackoffMax time.Duration
 	// MaxAttempts is how many consecutive failed connect/read attempts
@@ -77,20 +80,6 @@ func (c *Client) httpClient() *http.Client {
 		return c.HTTP
 	}
 	return defaultStreamClient
-}
-
-func (c *Client) backoffBounds() (min, max time.Duration) {
-	min, max = c.BackoffMin, c.BackoffMax
-	if min <= 0 {
-		min = 100 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 5 * time.Second
-	}
-	if max < min {
-		max = min
-	}
-	return min, max
 }
 
 func (c *Client) maxAttempts() int {
@@ -136,8 +125,7 @@ func (c *Client) Fetch(ctx context.Context, jobID string, after int) ([]Point, e
 func (c *Client) Stream(ctx context.Context, jobID string, after int, fn func(Point) error) error {
 	last := after
 	attempt := 0
-	minB, maxB := c.backoffBounds()
-	wait := minB
+	retry := backoff.New(c.BackoffMin, c.BackoffMax, rand.Int63())
 	for {
 		before := last
 		err := c.streamOnce(ctx, jobID, true, &last, fn)
@@ -158,12 +146,13 @@ func (c *Client) Stream(ctx context.Context, jobID string, after int, fn func(Po
 		if last > before {
 			// Progress was made this attempt; reset the failure budget.
 			attempt = 0
-			wait = minB
+			retry.Reset()
 		}
 		attempt++
 		if max := c.maxAttempts(); max > 0 && attempt > max {
 			return fmt.Errorf("trajclient: job %s: giving up after %d attempts: %w", jobID, attempt-1, err)
 		}
+		wait := retry.Next()
 		if c.OnRetry != nil {
 			c.OnRetry(jobID, attempt, wait, err)
 		}
@@ -171,10 +160,6 @@ func (c *Client) Stream(ctx context.Context, jobID string, after int, fn func(Po
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-time.After(wait):
-		}
-		wait *= 2
-		if wait > maxB {
-			wait = maxB
 		}
 	}
 }
